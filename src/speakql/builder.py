@@ -64,9 +64,18 @@ def _render_predicate(pred, qualify):
         else:
             lhs = pred.column
         return f"{lhs} {pred.op} {_sql_literal(pred.literal)}"
-    left = _render_predicate(pred.left, qualify)
-    right = _render_predicate(pred.right, qualify)
+    left = _render_child(pred.op, pred.left, qualify)
+    right = _render_child(pred.op, pred.right, qualify)
     return f"{left} {pred.op.upper()} {right}"
+
+
+def _render_child(op, child, qualify):
+    """SQL binds AND tighter than OR, so a child connective of the other
+    kind is parenthesised to keep the IR's grouping."""
+    text = _render_predicate(child, qualify)
+    if isinstance(child, (Connective, BoundConnective)) and child.op != op:
+        return f"({text})"
+    return text
 
 
 def resolve(ir, schema, graph):

@@ -1,8 +1,9 @@
 """Command-line entry point wiring the full pipeline.
 
 Exit codes: 0 success, 2 usage, 3 configuration/file, 4 translation
-(lex/parse/resolve), 5 decode, 6 execution. Only the emitted artifact
-goes to stdout; diagnostics go to stderr.
+(lex/parse/resolve, including tables with no join path), 5 decode,
+6 execution. Only the emitted artifact goes to stdout; diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import builder, decoder, executor, lexer, parser, schema
 from .errors import (
     DatasetError,
     DecodeError,
+    DisconnectedSchemaError,
     LexError,
     ModelConfigError,
     QueryParseError,
@@ -146,7 +148,9 @@ def main(argv=None):
     for query_text in queries:
         try:
             session.emit(query_text, args, sys.stdout)
-        except (LexError, QueryParseError, ResolveError) as exc:
+        except (
+            LexError, QueryParseError, ResolveError, DisconnectedSchemaError
+        ) as exc:
             return _fail(EXIT_TRANSLATE, str(exc))
         except DecodeError as exc:
             return _fail(EXIT_DECODE, str(exc))

@@ -5,6 +5,20 @@ All scoring is done in the natural-log domain. Ties are broken by the
 lexicographically smallest word sequence, then the smallest state path,
 so decoding is fully deterministic and comparable against exhaustive
 enumeration oracles.
+
+`decode_sentence` walks observation positions in order. From each
+position that some grammar state has reached, it runs one Viterbi pass
+per word on the arcs leaving those states, shared by every such arc, and
+ends the pass at the frame where no state of the word survives. The cost
+is linear in the frames times the span a word survives; a model whose
+words never die decodes in time quadratic in the frames. `viterbi_word` reads one span of the same pass.
+
+Tie contract: every score is the float sum the exhaustive enumeration
+computes, in the same order, and two decodings tie when those sums are
+equal. A (position, grammar state) cell keeps its best score and, for
+each word count, the smallest prefix reaching it, which is exact for
+ties of equal prefix scores. Prefixes whose scores differ but round to
+the same total after an extension are not treated as tied.
 """
 
 from __future__ import annotations
@@ -34,10 +48,6 @@ class WordHmm:
     transitions: dict  # state index -> tuple of (state index, probability)
     entry: tuple  # (state index, probability) pairs
     exit: dict  # state index -> probability
-
-    def emission_logp(self, state_idx, symbol):
-        p = self.states[state_idx].emissions.get(symbol, 0.0)
-        return math.log(p) if p > 0.0 else NEG_INF
 
 
 @dataclass(frozen=True)
@@ -175,8 +185,78 @@ def _state_index(value, n, word, where):
     return idx
 
 
-def _logp(p):
-    return math.log(p) if p > 0.0 else NEG_INF
+class _WordPass:
+    """One Viterbi recursion of a word model entered at frame `start`.
+
+    It runs until no state survives or the observations end. `ends` holds
+    (end, log probability, offset, last state) for every end frame at
+    which the word can exit, where `offset` is end - start - 1. `back[k]`
+    maps each state alive at frame start+k to its predecessor, so a state
+    path is rebuilt only to break an exact tie and for a winner. Scores
+    are the float sums of exhaustive enumeration, added in the same
+    order.
+    """
+
+    __slots__ = ("back", "ends")
+
+    def __init__(self, observations, start, hmm):
+        states, transitions, exits = hmm.states, hmm.transitions, hmm.exit
+        log = math.log
+        self.back = back = [None]
+        self.ends = ends = []
+        symbol = observations[start]
+        cells = {}  # state -> best log probability at the current frame
+        for idx, p in hmm.entry:
+            e = states[idx].emissions.get(symbol, 0.0)
+            if p > 0.0 and e > 0.0:
+                score = log(p) + log(e)
+                if score > cells.get(idx, NEG_INF):
+                    cells[idx] = score
+        end, n = start + 1, len(observations)
+        while cells:
+            offset = end - start - 1
+            best, last = NEG_INF, None
+            for idx, score in cells.items():
+                p = exits.get(idx, 0.0)
+                if p > 0.0:
+                    total = score + log(p)
+                    if total > best or (
+                        total == best
+                        and self.path(offset, idx) < self.path(offset, last)
+                    ):
+                        best, last = total, idx
+            if last is not None:
+                ends.append((end, best, offset, last))
+            if end == n:
+                break
+            symbol = observations[end]
+            nxt, links = {}, {}
+            for src, score in cells.items():
+                for dst, p in transitions.get(src, ()):
+                    e = states[dst].emissions.get(symbol, 0.0)
+                    if p > 0.0 and e > 0.0:
+                        step = score + log(p) + log(e)
+                        old = nxt.get(dst)
+                        if old is None or step > old:
+                            nxt[dst], links[dst] = step, src
+                        elif step == old and self.path(offset, src) < self.path(
+                            offset, links[dst]
+                        ):
+                            links[dst] = src
+            back.append(links)
+            cells = nxt
+            end += 1
+
+    def path(self, offset, state):
+        """State indices of the best path ending in `state` at frame
+        start+offset, as a list."""
+        back = self.back
+        path = [state]
+        for k in range(offset, 0, -1):
+            state = back[k][state]
+            path.append(state)
+        path.reverse()
+        return path
 
 
 def viterbi_word(observations, hmm):
@@ -187,34 +267,16 @@ def viterbi_word(observations, hmm):
     """
     if not observations:
         raise ValueError("observations must be nonempty")
-    # cell value: (logp, path tuple); maximize logp, then minimize path
-    cells = {}
-    for idx, p in hmm.entry:
-        score = _logp(p) + hmm.emission_logp(idx, observations[0])
-        if score > NEG_INF:
-            _keep(cells, idx, score, (idx,))
-    for symbol in observations[1:]:
-        nxt = {}
-        for src, (score, path) in cells.items():
-            for dst, p in hmm.transitions.get(src, ()):
-                step = score + _logp(p) + hmm.emission_logp(dst, symbol)
-                if step > NEG_INF:
-                    _keep(nxt, dst, step, path + (dst,))
-        cells = nxt
-    best_score, best_path = NEG_INF, ()
-    for idx, (score, path) in cells.items():
-        total = score + _logp(hmm.exit.get(idx, 0.0))
-        if total > best_score or (total == best_score and path < best_path):
-            best_score, best_path = total, path
-    if best_score == NEG_INF:
+    run = _WordPass(observations, 0, hmm)
+    if not run.ends or run.ends[-1][0] != len(observations):
         return NEG_INF, ()
-    return best_score, best_path
+    _, score, offset, last = run.ends[-1]
+    return score, tuple(run.path(offset, last))
 
 
-def _keep(cells, key, score, path):
-    old = cells.get(key)
-    if old is None or score > old[0] or (score == old[0] and path < old[1]):
-        cells[key] = (score, path)
+# A candidate sentence prefix: (words, previous candidate, word pass,
+# offset of its end frame in that pass, last state of the word).
+_ROOT = ((), None, None, 0, None)
 
 
 def decode_sentence(observations, hmms, fsa):
@@ -222,60 +284,73 @@ def decode_sentence(observations, hmms, fsa):
 
     Exact dynamic program over (observation position, grammar state); the
     grammar is unweighted so only acoustic likelihoods rank decodings.
+    Each word is scored by one `_WordPass` per start position, shared by
+    every arc that uses it. A (position, grammar state) cell keeps its
+    best score and, among the prefixes that reach it, the smallest one
+    per word count: lexicographic order survives a common extension only
+    between word sequences of equal length.
     """
     if not observations:
         raise ValueError("observations must be nonempty")
     by_name = {h.word: h for h in hmms}
+    arcs_from = {}
+    for src, word, dst in fsa.arcs:
+        arcs_from.setdefault(src, []).append((word, dst))
     n = len(observations)
 
-    # word scores per span, computed lazily
-    span_cache = {}
-
-    def span_score(word, i, j):
-        key = (word, i, j)
-        if key not in span_cache:
-            span_cache[key] = viterbi_word(observations[i:j], by_name[word])
-        return span_cache[key]
-
-    # best[(pos, fsa state)] = (logp, words, state_path); maximize logp,
-    # tie-break smallest words then smallest state path
-    best = {(0, fsa.start): (0.0, (), ())}
+    # cells[pos][grammar state] = (score, {word count: candidate})
+    cells = [{} for _ in range(n + 1)]
+    cells[0][fsa.start] = (0.0, {0: _ROOT})
     for i in range(n):
-        for (pos, state), (score, words, spath) in list(best.items()):
-            if pos != i:
-                continue
-            for src, word, dst in fsa.arcs:
-                if src != state:
-                    continue
-                for j in range(i + 1, n + 1):
-                    wscore, wpath = span_score(word, i, j)
-                    if wscore == NEG_INF:
-                        continue
-                    cand = (
-                        score + wscore,
-                        words + (word,),
-                        spath + tuple((word, s) for s in wpath),
-                    )
-                    _keep_sentence(best, (j, dst), cand)
+        passes = {}
+        for state, (score, cands) in cells[i].items():
+            for word, dst in arcs_from.get(state, ()):
+                run = passes.get(word)
+                if run is None:
+                    run = passes[word] = _WordPass(observations, i, by_name[word])
+                for end, wscore, offset, last in run.ends:
+                    total = score + wscore
+                    _extend(cells[end], dst, total, cands, word, run, offset, last)
+        cells[i] = None
 
-    winner = None
+    winner, best = None, NEG_INF
     for state in fsa.accepting:
-        cand = best.get((n, state))
-        if cand is None:
-            continue
-        if winner is None or _sentence_key(cand) < _sentence_key(winner):
-            winner = cand
+        score, cands = cells[n].get(state, (NEG_INF, {}))
+        for cand in cands.values():
+            if score > best or (score == best and _before(cand, winner)):
+                winner, best = cand, score
     if winner is None:
         raise DecodeError("no accepting decoding with positive probability")
-    score, words, spath = winner
-    return Decoding(words, score, spath)
+    return Decoding(winner[0], best, tuple(_state_path(winner)))
 
 
-def _sentence_key(cand):
-    return (-cand[0], cand[1], cand[2])
+def _extend(cell_map, dst, score, cands, word, run, offset, last):
+    """Offer every candidate of a cell, extended by one word, to (end, dst)."""
+    cell = cell_map.get(dst)
+    if cell is None or score > cell[0]:
+        cell = cell_map[dst] = (score, {})
+    elif score < cell[0]:
+        return
+    kept = cell[1]
+    for k, prev in cands.items():
+        cand = (prev[0] + (word,), prev, run, offset, last)
+        old = kept.get(k + 1)
+        if old is None or _before(cand, old):
+            kept[k + 1] = cand
 
 
-def _keep_sentence(best, key, cand):
-    old = best.get(key)
-    if old is None or _sentence_key(cand) < _sentence_key(old):
-        best[key] = cand
+def _before(a, b):
+    """Whether candidate a sorts before b: smaller words, then smaller
+    state path."""
+    if a[0] != b[0]:
+        return a[0] < b[0]
+    return _state_path(a) < _state_path(b)
+
+
+def _state_path(cand):
+    """The (word, state index) pairs of a candidate, as a list."""
+    segments = []
+    while cand[1] is not None:
+        words, cand, run, offset, last = cand
+        segments.append([(words[-1], s) for s in run.path(offset, last)])
+    return [pair for segment in reversed(segments) for pair in segment]

@@ -125,10 +125,11 @@ def _parse_condition(cur):
 
 
 def _parse_number(text):
-    value = float(text)
-    if value == int(value):
-        return int(value)
-    return value
+    """Exact int for an integer or integral decimal; float otherwise."""
+    whole, _, fraction = text.partition(".")
+    if not fraction.strip("0"):
+        return int(whole)
+    return float(text)
 
 
 def format_literal(literal):

@@ -91,12 +91,6 @@ class Schema:
                 return t
         return None
 
-    def declaration_index(self, name):
-        for i, t in enumerate(self.tables):
-            if t.name.lower() == name.lower():
-                return i
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class SchemaGraph:

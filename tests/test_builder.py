@@ -131,6 +131,22 @@ def test_generate_sql_or_predicate_parenthesized(bank_schema, bank_graph, bank_l
     )
 
 
+@pytest.mark.parametrize(
+    "literal, rendered",
+    [
+        ("12345678901234567890", "12345678901234567890"),
+        ("12345678901234567890.00", "12345678901234567890"),
+        ("2.50", "2.5"),
+    ],
+)
+def test_generate_sql_keeps_number_literals_exact(
+    literal, rendered, bank_schema, bank_graph, bank_lexicon
+):
+    ir = ir_of(f"get balance whose balance greater than {literal}", bank_lexicon)
+    sql = generate_sql(resolve(ir, bank_schema, bank_graph))
+    assert sql.text == f"SELECT balance FROM account WHERE balance > {rendered}"
+
+
 def test_generate_sql_string_literal_quote_doubling(bank_schema, bank_graph):
     ir = QueryIR(("customer_name",), None, Comparison("customer_city", "=", "O'Hare"))
     sql = generate_sql(resolve(ir, bank_schema, bank_graph))

@@ -99,6 +99,22 @@ def test_translation_error_parse(capsys):
     assert "expected" in err
 
 
+def test_translation_error_disconnected_schema(capsys, tmp_path):
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(
+        "tables:\n"
+        "  - {name: city, kind: entity, columns: [{name: city_name, type: text}]}\n"
+        "  - {name: river, kind: entity, columns: [{name: river_name, type: text}]}\n"
+    )
+    code, out, err = run(
+        capsys, "--schema", str(schema), "--query", "get city_name and river_name",
+        "--emit", "sql",
+    )
+    assert code == 4
+    assert out == ""
+    assert "not connected" in err
+
+
 def test_phoneme_path(capsys):
     code, out, _ = run(
         capsys, "--schema", SCHEMA, "--models", MODELS, "--phonemes", PHONEMES

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -227,3 +228,84 @@ def test_decoding_words_spell_accepting_path(bank_models):
         assert nexts
         state = nexts[0]
     assert state in fsa.accepting
+
+
+def _one_state_word(word, symbol, loop_p):
+    transitions = {0: ((0, loop_p),)} if loop_p else {}
+    return WordHmm(
+        word=word,
+        states=(PhonemeState(symbol, {symbol: 1.0}),),
+        transitions=transitions,
+        entry=((0, 1.0),),
+        exit={0: 1.0 - loop_p},
+    )
+
+
+def test_tie_between_word_counts_matches_enumeration():
+    # (a, c) and (a, b, c) both score 2 log 0.5; the smaller word
+    # sequence is the longer one.
+    hmms = [
+        _one_state_word("a", "x", 0.5),
+        _one_state_word("b", "x", 0.5),
+        _one_state_word("c", "z", 0.0),
+    ]
+    fsa = GrammarFsa(
+        frozenset("SMTF"),
+        "S",
+        frozenset({"F"}),
+        (("S", "a", "T"), ("S", "a", "M"), ("M", "b", "T"), ("T", "c", "F")),
+    )
+    obs = ["x", "x", "z"]
+    got = decode_sentence(obs, hmms, fsa)
+    want = oracles.best_sentence(obs, hmms, fsa)
+    assert (got.log_probability, got.words, got.state_path) == want
+    assert got.words == ("a", "b", "c")
+
+
+def _flat_models(rng):
+    """Random words and grammar with every probability 1.0, so every
+    decoding scores 0.0 and only the tie-break ranks them."""
+    symbols = ("x", "y")
+    hmms = []
+    for word in ("a", "b", "c")[: rng.randint(1, 3)]:
+        n = rng.randint(1, 3)
+        states = tuple(
+            PhonemeState(word, {s: 1.0 for s in rng.sample(symbols, rng.randint(1, 2))})
+            for _ in range(n)
+        )
+        transitions = {
+            i: tuple((j, 1.0) for j in range(i, n) if rng.random() < 0.5)
+            for i in range(n)
+        }
+        entry = tuple((i, 1.0) for i in range(n) if i == 0 or rng.random() < 0.3)
+        exits = {i: 1.0 for i in range(n) if i == n - 1 or rng.random() < 0.3}
+        hmms.append(WordHmm(word, states, transitions, entry, exits))
+    grammar_states = ("q0", "q1", "q2")
+    arcs = tuple(
+        (src, h.word, dst)
+        for src in grammar_states
+        for h in hmms
+        for dst in grammar_states
+        if rng.random() < 0.3
+    )
+    accepting = frozenset(s for s in grammar_states if rng.random() < 0.5) or {"q2"}
+    fsa = GrammarFsa(frozenset(grammar_states), "q0", frozenset(accepting), arcs)
+    return hmms, fsa
+
+
+def test_decode_sentence_matches_enumeration_on_all_tie_models():
+    rng = random.Random(20131)
+    decodable = 0
+    for _ in range(2000):
+        hmms, fsa = _flat_models(rng)
+        obs = [rng.choice(("x", "y")) for _ in range(rng.randint(1, 5))]
+        want = oracles.best_sentence(obs, hmms, fsa)
+        if want is None:
+            with pytest.raises(DecodeError):
+                decode_sentence(obs, hmms, fsa)
+            continue
+        decodable += 1
+        got = decode_sentence(obs, hmms, fsa)
+        got = (got.log_probability, got.words, got.state_path)
+        assert got == want, (obs, hmms, fsa)
+    assert decodable >= 500

@@ -1,8 +1,15 @@
 import random
+import sqlite3
 
 import pytest
 
-from speakql.builder import BoundComparison, BoundConnective, ResolvedQuery, resolve
+from speakql.builder import (
+    BoundComparison,
+    BoundConnective,
+    ResolvedQuery,
+    generate_sql,
+    resolve,
+)
 from speakql.errors import DatasetError
 from speakql.executor import execute, load_dataset
 from speakql.lexer import tokenize
@@ -159,3 +166,34 @@ def _comparisons(pred):
     if isinstance(pred, BoundComparison):
         return [pred]
     return _comparisons(pred.left) + _comparisons(pred.right)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # Read as (balance > 800 or balance < 100) and branch_name = 'Perryridge';
+        # no branch is named Perryridge.
+        (
+            "get account_number whose balance greater than 800 "
+            "or balance less than 100 and branch_name equals 'Perryridge'",
+            [],
+        ),
+        (
+            "get account_number whose balance greater than 800 "
+            "or balance less than 600 and branch_name equals 'Downtown'",
+            [("A-101",), ("A-305",)],
+        ),
+    ],
+)
+def test_mixed_connectives_agree_with_sqlite(
+    text, want, bank_schema, bank_graph, bank_lexicon, bank_dataset
+):
+    rq = rq_of(text, bank_schema, bank_graph, bank_lexicon)
+    db = sqlite3.connect(":memory:")
+    for name, data in bank_dataset.tables.items():
+        db.execute(f"CREATE TABLE {name} ({', '.join(data.header)})")
+        slots = ", ".join("?" * len(data.header))
+        db.executemany(f"INSERT INTO {name} VALUES ({slots})", data.rows)
+    from_sqlite = sorted(db.execute(generate_sql(rq).text).fetchall())
+    db.close()
+    assert sorted(execute(rq, bank_dataset).rows) == from_sqlite == want
