@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ResolveError
-from .parser import Comparison, Connective, format_literal
+from .parser import Connective, Predicate, fold_predicate, format_literal
 from .schema import join_path, tables_owning
 
 NUMERIC_OPS = (">", "<", ">=", "<=")
@@ -21,19 +21,9 @@ class BoundComparison:
 
 
 @dataclass(frozen=True)
-class BoundConnective:
-    op: str
-    left: "BoundPredicate"
-    right: "BoundPredicate"
-
-
-BoundPredicate = Union[BoundComparison, BoundConnective]
-
-
-@dataclass(frozen=True)
 class ResolvedQuery:
     select_refs: tuple[tuple[str, str], ...]  # (table, column)
-    predicate_refs: Optional[BoundPredicate]
+    predicate_refs: Optional[Predicate]  # Connective tree of BoundComparison
     join_plan: "JoinPlan"
 
 
@@ -48,7 +38,8 @@ def extract_clauses(ir):
     select_clause = "SELECT " + ", ".join(ir.select_columns)
     if ir.predicate is None:
         return select_clause, None
-    return select_clause, "WHERE " + _render_predicate(ir.predicate, qualify=False)
+    where, _ = _render_predicate(ir.predicate, qualify=False)
+    return select_clause, "WHERE " + where
 
 
 def _sql_literal(literal):
@@ -58,24 +49,25 @@ def _sql_literal(literal):
 
 
 def _render_predicate(pred, qualify):
-    if isinstance(pred, (Comparison, BoundComparison)):
-        if qualify and isinstance(pred, BoundComparison):
-            lhs = f"{pred.table}.{pred.column}"
-        else:
-            lhs = pred.column
-        return f"{lhs} {pred.op} {_sql_literal(pred.literal)}"
-    left = _render_child(pred.op, pred.left, qualify)
-    right = _render_child(pred.op, pred.right, qualify)
-    return f"{left} {pred.op.upper()} {right}"
+    """SQL text of a predicate, and whether it has an OR connective.
 
-
-def _render_child(op, child, qualify):
-    """SQL binds AND tighter than OR, so a child connective of the other
+    SQL binds AND tighter than OR, so a child connective of the other
     kind is parenthesised to keep the IR's grouping."""
-    text = _render_predicate(child, qualify)
-    if isinstance(child, (Connective, BoundConnective)) and child.op != op:
-        return f"({text})"
-    return text
+    ops = set()
+
+    def leaf(c):
+        lhs = f"{c.table}.{c.column}" if qualify else c.column
+        return f"{lhs} {c.op} {_sql_literal(c.literal)}", None
+
+    def join(node, left, right):
+        ops.add(node.op)
+        parts = [
+            text if op in (None, node.op) else f"({text})" for text, op in (left, right)
+        ]
+        return f" {node.op.upper()} ".join(parts), node.op
+
+    text, _ = fold_predicate(pred, leaf, join)
+    return text, "or" in ops
 
 
 def resolve(ir, schema, graph):
@@ -95,10 +87,9 @@ def resolve(ir, schema, graph):
         return owners[0]
 
     select_refs = tuple((owner_of(c), c) for c in ir.select_columns)
+    required = {t for t, _ in select_refs}
 
     def bind(pred):
-        if isinstance(pred, Connective):
-            return BoundConnective(pred.op, bind(pred.left), bind(pred.right))
         table = owner_of(pred.column)
         kind = schema.table(table).column(pred.column)
         is_number = isinstance(pred.literal, (int, float)) and not isinstance(
@@ -115,28 +106,16 @@ def resolve(ir, schema, graph):
                 f"literal {pred.literal!r} does not match "
                 f"{kind.value_kind} column {pred.column!r}"
             )
+        required.add(table)
         return BoundComparison(table, pred.column, pred.op, pred.literal)
 
-    predicate_refs = None if ir.predicate is None else bind(ir.predicate)
-
-    required = {t for t, _ in select_refs}
-    required |= _predicate_tables(predicate_refs)
+    predicate_refs = None
+    if ir.predicate is not None:
+        predicate_refs = fold_predicate(
+            ir.predicate, bind, lambda node, left, right: Connective(node.op, left, right)
+        )
     plan = join_path(graph, required)
     return ResolvedQuery(select_refs, predicate_refs, plan)
-
-
-def _predicate_tables(pred):
-    if pred is None:
-        return set()
-    if isinstance(pred, BoundComparison):
-        return {pred.table}
-    return _predicate_tables(pred.left) | _predicate_tables(pred.right)
-
-
-def _contains_or(pred):
-    if pred is None or isinstance(pred, BoundComparison):
-        return False
-    return pred.op == "or" or _contains_or(pred.left) or _contains_or(pred.right)
 
 
 def generate_sql(rq):
@@ -153,8 +132,8 @@ def generate_sql(rq):
 
     where_parts = []
     if rq.predicate_refs is not None:
-        user = _render_predicate(rq.predicate_refs, qualify=multi)
-        if _contains_or(rq.predicate_refs) and plan.conditions:
+        user, has_or = _render_predicate(rq.predicate_refs, qualify=multi)
+        if has_or and plan.conditions:
             user = f"({user})"
         where_parts.append(user)
     for lt, lc, rt, rc in plan.conditions:

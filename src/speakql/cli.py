@@ -15,11 +15,9 @@ import sys
 
 from . import builder, decoder, executor, lexer, parser, schema
 from .errors import (
-    DatasetError,
     DecodeError,
     DisconnectedSchemaError,
     LexError,
-    ModelConfigError,
     QueryParseError,
     ResolveError,
     SpeakqlError,
@@ -30,6 +28,17 @@ EXIT_CONFIG = 3
 EXIT_TRANSLATE = 4
 EXIT_DECODE = 5
 EXIT_EXECUTE = 6
+
+# Exit code by error class. Any other error exits with the code of the
+# stage that raised it: EXIT_CONFIG while loading the session or reading
+# the phoneme file, EXIT_EXECUTE while emitting.
+EXIT_CODES = {
+    LexError: EXIT_TRANSLATE,
+    QueryParseError: EXIT_TRANSLATE,
+    ResolveError: EXIT_TRANSLATE,
+    DisconnectedSchemaError: EXIT_TRANSLATE,
+    DecodeError: EXIT_DECODE,
+}
 
 
 def build_arg_parser():
@@ -126,36 +135,21 @@ def main(argv=None):
     if args.phonemes and not args.models:
         return _fail(EXIT_USAGE, "--phonemes requires --models")
 
+    stage_code = EXIT_CONFIG
     try:
         session = _Session(args)
-    except SpeakqlError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-
-    if args.repl:
-        return _run_repl(session, args)
-
-    try:
+        if args.repl:
+            return _run_repl(session, args)
         if args.query:
             queries = [args.query]
         else:
             lines = _read(args.phonemes).splitlines()
             queries = [session.decode(line.split()) for line in lines if line.strip()]
-    except SpeakqlError as exc:
-        if isinstance(exc, (DecodeError, ModelConfigError)):
-            return _fail(EXIT_DECODE, str(exc))
-        return _fail(EXIT_CONFIG, str(exc))
-
-    for query_text in queries:
-        try:
+        stage_code = EXIT_EXECUTE
+        for query_text in queries:
             session.emit(query_text, args, sys.stdout)
-        except (
-            LexError, QueryParseError, ResolveError, DisconnectedSchemaError
-        ) as exc:
-            return _fail(EXIT_TRANSLATE, str(exc))
-        except DecodeError as exc:
-            return _fail(EXIT_DECODE, str(exc))
-        except (DatasetError, SpeakqlError) as exc:
-            return _fail(EXIT_EXECUTE, str(exc))
+    except SpeakqlError as exc:
+        return _fail(EXIT_CODES.get(type(exc), stage_code), str(exc))
     return 0
 
 

@@ -10,12 +10,22 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .builder import BoundComparison
 from .errors import DatasetError
+from .parser import Connective, fold_predicate
+
+_COMPARE = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+}
 
 
 @dataclass(frozen=True)
@@ -87,34 +97,6 @@ def load_dataset(directory, schema):
     return Dataset(tables)
 
 
-def _compare(left, op, right):
-    if left is None or right is None:
-        return False
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == ">":
-        return left > right
-    if op == "<":
-        return left < right
-    if op == ">=":
-        return left >= right
-    if op == "<=":
-        return left <= right
-    raise ValueError(f"unknown comparator {op!r}")
-
-
-def _eval_predicate(pred, row_of):
-    if isinstance(pred, BoundComparison):
-        data = row_of[pred.table]
-        value = data[0][data[1].index(pred.column)]
-        return _compare(value, pred.op, pred.literal)
-    left = _eval_predicate(pred.left, row_of)
-    right = _eval_predicate(pred.right, row_of)
-    return (left and right) if pred.op == "and" else (left or right)
-
-
 def execute(rq, ds):
     """Run the resolved plan against the dataset."""
     plan = rq.join_plan
@@ -123,22 +105,37 @@ def execute(rq, ds):
             raise DatasetError(f"table {name!r} not present in dataset")
     # nest loops in dataset (schema declaration) order
     loop_tables = [t for t in ds.tables if t in plan.tables]
-    headers = {t: ds.tables[t].header for t in loop_tables}
+
+    def ref(table, column):
+        """(loop position, column index) of a column in a row combination."""
+        return loop_tables.index(table), ds.tables[table].header.index(column)
+
+    joins = [ref(lt, lc) + ref(rt, rc) for lt, lc, rt, rc in plan.conditions]
+    select = [ref(t, c) for t, c in rq.select_refs]
+    # each comparison becomes (loop position, column index, compare, literal)
+    pred = rq.predicate_refs
+    if pred is not None:
+        pred = fold_predicate(
+            pred,
+            lambda c: ref(c.table, c.column) + (_COMPARE[c.op], c.literal),
+            lambda node, left, right: Connective(node.op, left, right),
+        )
+
+    def leaf(c):
+        """Comparison `c` on the loop's current `combo`; false on null."""
+        value = combo[c[0]][c[1]]
+        return value is not None and c[2](value, c[3])
+
+    def join(node, left, right):
+        return (left and right) if node.op == "and" else (left or right)
 
     out_rows = []
     for combo in product(*(ds.tables[t].rows for t in loop_tables)):
-        row_of = {t: (row, headers[t]) for t, row in zip(loop_tables, combo)}
-        ok = True
-        for lt, lc, rt, rc in plan.conditions:
-            lval = row_of[lt][0][headers[lt].index(lc)]
-            rval = row_of[rt][0][headers[rt].index(rc)]
-            if not _compare(lval, "=", rval):
-                ok = False
+        for lp, lc, rp, rc in joins:
+            value = combo[lp][lc]
+            if value is None or value != combo[rp][rc]:
                 break
-        if ok and rq.predicate_refs is not None:
-            ok = _eval_predicate(rq.predicate_refs, row_of)
-        if ok:
-            out_rows.append(
-                tuple(row_of[t][0][headers[t].index(c)] for t, c in rq.select_refs)
-            )
+        else:
+            if pred is None or fold_predicate(pred, leaf, join):
+                out_rows.append(tuple([combo[p][c] for p, c in select]))
     return ResultSet(rq.select_refs, tuple(out_rows))

@@ -71,13 +71,21 @@ RESERVED_WORDS = frozenset(
 _NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
 _UNIT_RE = re.compile(r"'[^']*'|\"[^\"]*\"|\S+")
 
-_PHRASES = sorted(KEYWORD_MAP, key=lambda p: -len(p.split()))
+
+def _phrases_by_first_word():
+    """first word -> [(words, kind, target)], longest phrase first."""
+    index = {}
+    for phrase in sorted(KEYWORD_MAP, key=lambda p: -len(p.split())):
+        words = phrase.split()
+        index.setdefault(words[0], []).append((words, *KEYWORD_MAP[phrase]))
+    return index
+
+
+_PHRASES = _phrases_by_first_word()
 
 
 @dataclass(frozen=True)
 class Lexicon:
-    column_names: frozenset  # lowercase
-    table_names: frozenset  # lowercase
     column_spelling: dict  # lowercase -> schema spelling
     table_spelling: dict
 
@@ -93,18 +101,14 @@ def generate_lexicon(schema):
             raise LexiconCollisionError(
                 f"schema identifier {ident!r} collides with a reserved word"
             )
-    return Lexicon(
-        column_names=frozenset(columns),
-        table_names=frozenset(tables),
-        column_spelling=columns,
-        table_spelling=tables,
-    )
+    return Lexicon(column_spelling=columns, table_spelling=tables)
 
 
 def tokenize(query_text, lexicon):
     """Map the query to a token list; noise words are dropped, multi-word
     keyword phrases are consumed as single tokens (longest match wins)."""
     units = _UNIT_RE.findall(query_text)
+    words = [u.lower() for u in units]
     tokens = []
     i = 0
     while i < len(units):
@@ -113,32 +117,25 @@ def tokenize(query_text, lexicon):
             tokens.append(Token(TokenKind.STRING_LITERAL, unit, unit[1:-1], i))
             i += 1
             continue
-        word = unit.lower()
-
-        matched = False
-        for phrase in _PHRASES:
-            parts = phrase.split()
-            if [u.lower() for u in units[i : i + len(parts)]] == parts:
-                kind, target = KEYWORD_MAP[phrase]
-                tokens.append(Token(kind, " ".join(units[i : i + len(parts)]), target, i))
-                i += len(parts)
-                matched = True
+        word = words[i]
+        for parts, kind, target in _PHRASES.get(word, ()):
+            end = i + len(parts)
+            if words[i:end] == parts:
+                tokens.append(Token(kind, " ".join(units[i:end]), target, i))
+                i = end
                 break
-        if matched:
-            continue
-
-        if word in NOISE_WORDS:
-            i += 1
-            continue
-        if _NUMBER_RE.match(word):
-            tokens.append(Token(TokenKind.NUMBER, unit, word, i))
-        elif word in lexicon.column_names:
-            tokens.append(
-                Token(TokenKind.COLUMN, unit, lexicon.column_spelling[word], i)
-            )
-        elif word in lexicon.table_names:
-            tokens.append(Token(TokenKind.TABLE, unit, lexicon.table_spelling[word], i))
         else:
-            raise LexError(unit, i)
-        i += 1
+            # noise words cannot be numbers or, by the collision check,
+            # identifiers
+            if _NUMBER_RE.match(word):
+                tokens.append(Token(TokenKind.NUMBER, unit, word, i))
+            elif word in lexicon.column_spelling:
+                tokens.append(
+                    Token(TokenKind.COLUMN, unit, lexicon.column_spelling[word], i)
+                )
+            elif word in lexicon.table_spelling:
+                tokens.append(Token(TokenKind.TABLE, unit, lexicon.table_spelling[word], i))
+            elif word not in NOISE_WORDS:
+                raise LexError(unit, i)
+            i += 1
     return tokens

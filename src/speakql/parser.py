@@ -15,6 +15,7 @@ sentence is rejected (conditions may not precede the WHERE introducer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -116,20 +117,31 @@ def _parse_condition(cur):
     lit = cur.peek()
     if lit is None or lit.kind not in (TokenKind.NUMBER, TokenKind.STRING_LITERAL):
         raise QueryParseError(cur.pos, "a number or quoted string", _describe(lit))
-    cur.pos += 1
     if lit.kind is TokenKind.NUMBER:
-        literal = _parse_number(lit.target_lexeme)
+        literal = _parse_number(lit.target_lexeme, cur.pos)
     else:
         literal = lit.target_lexeme
+    cur.pos += 1
     return Comparison(column, op, literal)
 
 
-def _parse_number(text):
-    """Exact int for an integer or integral decimal; float otherwise."""
+def _parse_number(text, position):
+    """Exact int for an integer or integral decimal; float otherwise.
+
+    An integer longer than `int` converts (4300 digits by default) or a
+    decimal beyond float range is rejected at its token position."""
     whole, _, fraction = text.partition(".")
-    if not fraction.strip("0"):
-        return int(whole)
-    return float(text)
+    try:
+        if not fraction.strip("0"):
+            return int(whole)
+        value = float(text)
+    except ValueError:
+        value = math.inf
+    if math.isinf(value):
+        raise QueryParseError(
+            position, "a number of representable size", f"a {len(text)}-character number"
+        )
+    return value
 
 
 def format_literal(literal):
@@ -146,10 +158,22 @@ def format_literal(literal):
     return "'" + str(literal) + "'"
 
 
-def _predicate_to_text(pred):
-    if isinstance(pred, Comparison):
-        return f"{pred.op}({pred.column}, {format_literal(pred.literal)})"
-    return f"{pred.op}({_predicate_to_text(pred.left)}, {_predicate_to_text(pred.right)})"
+def fold_predicate(pred, leaf, join):
+    """Value of a predicate tree, computed bottom-up: `leaf(c)` runs on
+    each comparison from left to right, `join(node, left, right)` on each
+    connective with the values of its two children.
+
+    The parser grows the tree's left spine by one connective per
+    condition, so the spine is walked in a loop and only right children,
+    always comparisons in a parsed tree, recurse."""
+    spine = []
+    while isinstance(pred, Connective):
+        spine.append(pred)
+        pred = pred.left
+    value = leaf(pred)
+    for node in reversed(spine):
+        value = join(node, value, fold_predicate(node.right, leaf, join))
+    return value
 
 
 def ir_to_text(ir):
@@ -157,4 +181,9 @@ def ir_to_text(ir):
     select = "select(" + ", ".join(ir.select_columns) + ")"
     if ir.predicate is None:
         return f"VP[{select}]"
-    return f"VP[{select}, where({_predicate_to_text(ir.predicate)})]"
+    where = fold_predicate(
+        ir.predicate,
+        lambda c: f"{c.op}({c.column}, {format_literal(c.literal)})",
+        lambda node, left, right: f"{node.op}({left}, {right})",
+    )
+    return f"VP[{select}, where({where})]"

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from speakql.cli import main
 
 from conftest import FIXTURES
@@ -99,6 +101,18 @@ def test_translation_error_parse(capsys):
     assert "expected" in err
 
 
+@pytest.mark.parametrize(
+    "number", ["9" * 400 + ".5", "9" * 4301], ids=["beyond-float-range", "too-many-digits"]
+)
+def test_translation_error_unrepresentable_number(capsys, number):
+    code, out, err = run(
+        capsys, "--schema", SCHEMA, "--query", f"get balance whose balance greater than {number}"
+    )
+    assert code == 4
+    assert out == ""
+    assert "at token 5" in err  # get balance whose balance > NUMBER
+
+
 def test_translation_error_disconnected_schema(capsys, tmp_path):
     schema = tmp_path / "schema.yaml"
     schema.write_text(
@@ -132,6 +146,16 @@ def test_decode_error(capsys, tmp_path):
     assert code == 5
     assert out == ""
     assert err
+
+
+def test_unreadable_phoneme_file(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "--schema", SCHEMA, "--models", MODELS,
+        "--phonemes", str(tmp_path / "missing.txt"),
+    )
+    assert code == 3
+    assert out == ""
+    assert "cannot read" in err
 
 
 def test_repl(capsys, monkeypatch):

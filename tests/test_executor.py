@@ -3,17 +3,11 @@ import sqlite3
 
 import pytest
 
-from speakql.builder import (
-    BoundComparison,
-    BoundConnective,
-    ResolvedQuery,
-    generate_sql,
-    resolve,
-)
+from speakql.builder import BoundComparison, ResolvedQuery, generate_sql, resolve
 from speakql.errors import DatasetError
 from speakql.executor import execute, load_dataset
 from speakql.lexer import tokenize
-from speakql.parser import parse
+from speakql.parser import Connective, parse
 from speakql.schema import JoinPlan, load_schema
 
 import oracles
@@ -151,7 +145,8 @@ def test_matches_reference_on_randomized_plans(bank_schema, bank_graph, bank_dat
                                        rng.choice(["Adams", "A-222", "L-16", "Downtown"]))
             if rng.random() < 0.3:
                 other = BoundComparison("account", "balance", ">", 600)
-                pred = BoundConnective(rng.choice(["and", "or"]), pred, other)
+                children = rng.choice([(pred, other), (other, pred)])
+                pred = Connective(rng.choice(["and", "or"]), *children)
         tables = {t for t, _ in refs}
         if pred is not None:
             tables |= {c.table for c in _comparisons(pred)}

@@ -20,10 +20,10 @@ def targets(tokens):
 def test_lexicon_mirrors_schema(bank_schema, bank_lexicon):
     expected_cols = {c.name.lower() for t in bank_schema.tables for c in t.columns}
     expected_tabs = {t.name.lower() for t in bank_schema.tables}
-    assert bank_lexicon.column_names == expected_cols
-    assert bank_lexicon.table_names == expected_tabs
-    assert "balance" in bank_lexicon.column_names
-    assert "depositor" in bank_lexicon.table_names
+    assert set(bank_lexicon.column_spelling) == expected_cols
+    assert set(bank_lexicon.table_spelling) == expected_tabs
+    assert "balance" in bank_lexicon.column_spelling
+    assert "depositor" in bank_lexicon.table_spelling
 
 
 def test_reserved_identifier_collision():

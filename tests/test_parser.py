@@ -36,6 +36,20 @@ def test_missing_verb(bank_lexicon):
     assert "select verb" in exc.value.expected
 
 
+@pytest.mark.parametrize(
+    "number",
+    [
+        "9" * 400 + ".5",  # beyond float range
+        "9" * 4301,  # more digits than int() converts
+    ],
+    ids=["beyond-float-range", "too-many-digits"],
+)
+def test_unrepresentable_number_literal(bank_lexicon, number):
+    with pytest.raises(QueryParseError) as exc:
+        parse_text(f"get customer_name whose balance greater than {number}", bank_lexicon)
+    assert exc.value.position == 5  # get customer_name whose balance > NUMBER
+
+
 def test_trailing_garbage(bank_lexicon):
     with pytest.raises(QueryParseError):
         parse_text("get balance account", bank_lexicon)
