@@ -86,7 +86,7 @@ def resolve(ir, schema, graph):
             raise ResolveError(f"no table owns column {column!r}")
         return owners[0]
 
-    select_refs = tuple((owner_of(c), c) for c in ir.select_columns)
+    select_refs = tuple([(owner_of(c), c) for c in ir.select_columns])
     required = {t for t, _ in select_refs}
 
     def bind(pred):

@@ -24,6 +24,7 @@ the same total after an extension are not treated as tied.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import yaml
@@ -71,6 +72,24 @@ def _check_prob(p, where):
     return float(p)
 
 
+def _section(value, kind, where):
+    """`value` if it is a `kind` (dict or list), an empty one if absent."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        shape = "mapping" if kind is dict else "list"
+        raise ModelConfigError(f"{where} must be a {shape}, got {value!r}")
+    return value
+
+
+def _names(value, where):
+    """The state names listed in `value`, as a frozenset."""
+    names = _section(value, list, where)
+    if not all(isinstance(n, Hashable) for n in names):
+        raise ModelConfigError(f"{where} must list state names, got {value!r}")
+    return frozenset(names)
+
+
 def load_models(model_text):
     """Parse and validate a model-config document (YAML)."""
     try:
@@ -85,7 +104,7 @@ def load_models(model_text):
     alphabet = set(alphabet)
 
     hmms = []
-    for raw in doc.get("words") or []:
+    for raw in _section(doc.get("words"), list, "'words'"):
         hmms.append(_load_word(raw, alphabet))
     if not hmms:
         raise ModelConfigError("'words' must declare at least one word model")
@@ -93,15 +112,18 @@ def load_models(model_text):
     raw_fsa = doc.get("grammar")
     if not isinstance(raw_fsa, dict):
         raise ModelConfigError("'grammar' section missing")
-    states = frozenset(raw_fsa.get("states") or [])
+    states = _names(raw_fsa.get("states"), "grammar 'states'")
     start = raw_fsa.get("start")
-    accepting = frozenset(raw_fsa.get("accepting") or [])
-    if start not in states or not accepting <= states:
+    accepting = _names(raw_fsa.get("accepting"), "grammar 'accepting'")
+    if not isinstance(start, Hashable) or start not in states or not accepting <= states:
         raise ModelConfigError("grammar start/accepting states must be members of 'states'")
     known_words = {h.word for h in hmms}
     arcs = []
-    for arc in raw_fsa.get("arcs") or []:
+    for arc in _section(raw_fsa.get("arcs"), list, "grammar 'arcs'"):
+        arc = _section(arc, dict, "a grammar arc")
         src, word, dst = arc.get("from"), arc.get("word"), arc.get("to")
+        if not all(isinstance(v, Hashable) for v in (src, word, dst)):
+            raise ModelConfigError(f"arc fields must be names: {arc!r}")
         if src not in states or dst not in states:
             raise ModelConfigError(f"arc references unknown grammar state: {arc!r}")
         if word not in known_words:
@@ -112,6 +134,7 @@ def load_models(model_text):
 
 
 def _load_word(raw, alphabet):
+    raw = _section(raw, dict, "a word model")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ModelConfigError(f"word model needs a 'name': {raw!r}")
@@ -121,26 +144,24 @@ def _load_word(raw, alphabet):
 
     states = []
     for i, rs in enumerate(raw_states):
+        where = f"word {name!r} state {i}"
+        rs = _section(rs, dict, where)
         emissions = {}
         total = 0.0
-        for sym, p in (rs.get("emissions") or {}).items():
+        for sym, p in _section(rs.get("emissions"), dict, f"{where} 'emissions'").items():
             if sym not in alphabet:
-                raise ModelConfigError(
-                    f"word {name!r} state {i}: emission symbol {sym!r} not in alphabet"
-                )
-            emissions[sym] = _check_prob(p, f"word {name!r} state {i} emission {sym!r}")
+                raise ModelConfigError(f"{where}: emission symbol {sym!r} not in alphabet")
+            emissions[sym] = _check_prob(p, f"{where} emission {sym!r}")
             total += emissions[sym]
         if abs(total - 1.0) > _SUM_TOL:
-            raise ModelConfigError(
-                f"word {name!r} state {i}: emission probabilities sum to {total}"
-            )
+            raise ModelConfigError(f"{where}: emission probabilities sum to {total}")
         states.append(PhonemeState(rs.get("phoneme", ""), emissions))
 
     n = len(states)
 
     entry = []
     total = 0.0
-    for idx, p in (raw.get("entry") or {}).items():
+    for idx, p in _section(raw.get("entry"), dict, f"word {name!r} 'entry'").items():
         idx = _state_index(idx, n, name, "entry")
         p = _check_prob(p, f"word {name!r} entry state {idx}")
         entry.append((idx, p))
@@ -149,15 +170,15 @@ def _load_word(raw, alphabet):
         raise ModelConfigError(f"word {name!r}: entry probabilities sum to {total}")
 
     exit_probs = {}
-    for idx, p in (raw.get("exit") or {}).items():
+    for idx, p in _section(raw.get("exit"), dict, f"word {name!r} 'exit'").items():
         idx = _state_index(idx, n, name, "exit")
         exit_probs[idx] = _check_prob(p, f"word {name!r} exit state {idx}")
 
     transitions = {}
-    for src, row in (raw.get("transitions") or {}).items():
+    for src, row in _section(raw.get("transitions"), dict, f"word {name!r} 'transitions'").items():
         src = _state_index(src, n, name, "transitions")
         out = []
-        for dst, p in (row or {}).items():
+        for dst, p in _section(row, dict, f"word {name!r} transitions from {src}").items():
             dst = _state_index(dst, n, name, f"transitions from {src}")
             if dst < src:
                 raise ModelConfigError(

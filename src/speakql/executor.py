@@ -1,18 +1,28 @@
-"""CSV-backed mini executor: nested-loop join, filter, project.
+"""CSV-backed mini executor: filter, hash join, residual filter, project.
 
-Semantics: Cartesian product of the plan tables filtered by join
-conditions and the user predicate, projected to the select list. Any
-comparison involving null is false. Loops nest in schema declaration
-order, so row order is the lexicographic order of source-row indices.
+Semantics: the Cartesian product of the plan tables, filtered by the
+join conditions and the user predicate and projected to the select
+list. Any comparison involving null is false, so null never joins. Rows
+come out in the lexicographic order of source-row indices, tables taken
+in schema declaration order.
+
+The product is never enumerated. Each top-level AND conjunct of the
+predicate that reads one table filters that table's rows first. Tables
+are then joined in declaration order: a table linked by a join
+condition to one already placed is looked up in a hash of its rows on
+the shared column, any further links are checked as equalities, and a
+table with no link yet is crossed with what is placed. Each step keeps
+rows in source order, so no sort is needed. The remaining conjuncts,
+ORs that span tables, filter the joined combinations.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
 from .errors import DatasetError
@@ -53,12 +63,15 @@ def _parse_cell(raw, column, table_name, row_no):
     try:
         if column.value_kind == "integer":
             return int(raw)
-        return float(raw)
+        value = float(raw)
+        if math.isfinite(value):  # nan would not even equal itself
+            return value
     except ValueError:
-        raise DatasetError(
-            f"{table_name}.csv row {row_no}, column {column.name!r}: "
-            f"cannot parse {raw!r} as {column.value_kind}"
-        )
+        pass
+    raise DatasetError(
+        f"{table_name}.csv row {row_no}, column {column.name!r}: "
+        f"cannot parse {raw!r} as {column.value_kind}"
+    )
 
 
 def load_dataset(directory, schema):
@@ -97,45 +110,89 @@ def load_dataset(directory, schema):
     return Dataset(tables)
 
 
+def _conjuncts(pred):
+    """Top-level AND conjuncts of `pred`, each a comparison or an OR-rooted
+    subtree, paired with the names of the tables its comparisons read."""
+    if pred is None:
+        return []
+
+    def join(node, left, right):
+        if node.op == "and":
+            left += right
+            return left
+        return [(node, set().union(*(tables for _, tables in left + right)))]
+
+    return fold_predicate(pred, lambda c: [(c, {c.table})], join)
+
+
+def _filter(items, pred, index_of):
+    """The items, in order, for which `pred` holds; `index_of(c)` is where
+    comparison c's value sits in an item. Null fails every comparison."""
+
+    def test(c):
+        return operator.itemgetter(index_of(c)), _COMPARE[c.op], c.literal
+
+    if not isinstance(pred, Connective):
+        get, compare, literal = test(pred)
+        return [x for x in items if (v := get(x)) is not None and compare(v, literal)]
+
+    def leaf(c):
+        get, compare, literal = test(c)
+        return {
+            i for i, x in enumerate(items) if (v := get(x)) is not None and compare(v, literal)
+        }
+
+    # the tree folds to sets of item positions, so no closure nests as deep as it
+    keep = fold_predicate(
+        pred, leaf, lambda node, left, right: left & right if node.op == "and" else left | right
+    )
+    return [x for i, x in enumerate(items) if i in keep]
+
+
 def execute(rq, ds):
     """Run the resolved plan against the dataset."""
     plan = rq.join_plan
     for name in plan.tables:
         if name not in ds.tables:
             raise DatasetError(f"table {name!r} not present in dataset")
-    # nest loops in dataset (schema declaration) order
-    loop_tables = [t for t in ds.tables if t in plan.tables]
+    order = [t for t in ds.tables if t in plan.tables]
 
-    def ref(table, column):
-        """(loop position, column index) of a column in a row combination."""
-        return loop_tables.index(table), ds.tables[table].header.index(column)
+    def column(table, name):
+        return ds.tables[table].header.index(name)
 
-    joins = [ref(lt, lc) + ref(rt, rc) for lt, lc, rt, rc in plan.conditions]
-    select = [ref(t, c) for t, c in rq.select_refs]
-    # each comparison becomes (loop position, column index, compare, literal)
-    pred = rq.predicate_refs
-    if pred is not None:
-        pred = fold_predicate(
-            pred,
-            lambda c: ref(c.table, c.column) + (_COMPARE[c.op], c.literal),
-            lambda node, left, right: Connective(node.op, left, right),
-        )
-
-    def leaf(c):
-        """Comparison `c` on the loop's current `combo`; false on null."""
-        value = combo[c[0]][c[1]]
-        return value is not None and c[2](value, c[3])
-
-    def join(node, left, right):
-        return (left and right) if node.op == "and" else (left or right)
-
-    out_rows = []
-    for combo in product(*(ds.tables[t].rows for t in loop_tables)):
-        for lp, lc, rp, rc in joins:
-            value = combo[lp][lc]
-            if value is None or value != combo[rp][rc]:
-                break
+    rows = {t: ds.tables[t].rows for t in order}
+    residual = []
+    for conjunct, tables in _conjuncts(rq.predicate_refs):
+        if len(tables) == 1:
+            (t,) = tables
+            rows[t] = _filter(rows[t], conjunct, lambda c: column(c.table, c.column))
         else:
-            if pred is None or fold_predicate(pred, leaf, join):
-                out_rows.append(tuple([combo[p][c] for p, c in select]))
-    return ResultSet(rq.select_refs, tuple(out_rows))
+            residual.append(conjunct)
+
+    # a combination concatenates its rows, table t's starting at offset[t]
+    offset, width, combos = {}, 0, [()]
+    for t in order:
+        links = [
+            (offset[other] + column(other, other_col), column(t, own_col))
+            for lt, lc, rt, rc in plan.conditions
+            for own, own_col, other, other_col in ((lt, lc, rt, rc), (rt, rc, lt, lc))
+            if own == t and other in offset
+        ]
+        if not links:
+            combos = [c + r for c in combos for r in rows[t]]
+        else:
+            (key, own), *more = links
+            matches = {}
+            for r in rows[t]:
+                if r[own] is not None:
+                    matches.setdefault(r[own], []).append(r)
+            combos = [c + r for c in combos for r in matches.get(c[key], ())]
+            for key, own in more:
+                combos = [c for c in combos if (v := c[key]) is not None and v == c[width + own]]
+        offset[t] = width
+        width += len(ds.tables[t].header)
+
+    for conjunct in residual:
+        combos = _filter(combos, conjunct, lambda c: offset[c.table] + column(c.table, c.column))
+    select = [offset[t] + column(t, c) for t, c in rq.select_refs]
+    return ResultSet(rq.select_refs, tuple([tuple([c[i] for i in select]) for c in combos]))

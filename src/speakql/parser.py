@@ -128,8 +128,9 @@ def _parse_condition(cur):
 def _parse_number(text, position):
     """Exact int for an integer or integral decimal; float otherwise.
 
-    An integer longer than `int` converts (4300 digits by default) or a
-    decimal beyond float range is rejected at its token position."""
+    An integer longer than `int` converts (4300 digits by default), a
+    decimal beyond float range, and one with a non-zero fraction that
+    rounds to 0.0 are rejected at their token position."""
     whole, _, fraction = text.partition(".")
     try:
         if not fraction.strip("0"):
@@ -137,7 +138,7 @@ def _parse_number(text, position):
         value = float(text)
     except ValueError:
         value = math.inf
-    if math.isinf(value):
+    if math.isinf(value) or value == 0:
         raise QueryParseError(
             position, "a number of representable size", f"a {len(text)}-character number"
         )

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -102,7 +103,9 @@ def test_translation_error_parse(capsys):
 
 
 @pytest.mark.parametrize(
-    "number", ["9" * 400 + ".5", "9" * 4301], ids=["beyond-float-range", "too-many-digits"]
+    "number",
+    ["9" * 400 + ".5", "9" * 4301, "0." + "0" * 400 + "1"],
+    ids=["beyond-float-range", "too-many-digits", "underflows-to-zero"],
 )
 def test_translation_error_unrepresentable_number(capsys, number):
     code, out, err = run(
@@ -146,6 +149,19 @@ def test_decode_error(capsys, tmp_path):
     assert code == 5
     assert out == ""
     assert err
+
+
+def test_malformed_models_config_error(capsys, tmp_path):
+    models = tmp_path / "models.yaml"
+    text = Path(MODELS).read_text(encoding="utf-8")
+    assert "arcs:\n" in text
+    models.write_text(text.replace("arcs:\n", "arcs:\n    - S0\n", 1), encoding="utf-8")
+    code, out, err = run(
+        capsys, "--schema", SCHEMA, "--models", str(models), "--phonemes", PHONEMES
+    )
+    assert code == 3
+    assert out == ""
+    assert "grammar arc must be a mapping" in err
 
 
 def test_unreadable_phoneme_file(capsys, tmp_path):

@@ -96,6 +96,55 @@ grammar: {states: [q], start: q, accepting: [q], arcs: [{from: q, word: w, to: q
     assert "decreases" in str(exc.value)
 
 
+MINIMAL_MODELS = """
+phoneme_alphabet: [a]
+words:
+  - name: w
+    states:
+      - {phoneme: a, emissions: {a: 1.0}}
+    entry: {0: 1.0}
+    transitions: {0: {}}
+    exit: {0: 1.0}
+grammar: {states: [q], start: q, accepting: [q], arcs: [{from: q, word: w, to: q}]}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("words:\n  - name: w", "words:\n  - w\n  - name: w"),
+        ("words:\n  - name: w", "words:\n    name: w"),
+        ("- {phoneme: a, emissions: {a: 1.0}}", "- a"),
+        ("emissions: {a: 1.0}", "emissions: [a]"),
+        ("entry: {0: 1.0}", "entry: [0]"),
+        ("exit: {0: 1.0}", "exit: [0]"),
+        ("transitions: {0: {}}", "transitions: [0]"),
+        ("transitions: {0: {}}", "transitions: {0: [0]}"),
+        ("states: [q], start", "states: q, start"),
+        ("states: [q], start", "states: [[q]], start"),
+        ("start: q", "start: [q]"),
+        ("accepting: [q]", "accepting: q"),
+        ("arcs: [{from: q, word: w, to: q}]", "arcs: q"),
+        ("arcs: [{from: q, word: w, to: q}]", "arcs: [q]"),
+        ("{from: q, word: w, to: q}", "{from: [q], word: w, to: q}"),
+        ("{from: q, word: w, to: q}", "{from: q, word: {w: 1}, to: q}"),
+    ],
+    ids=[
+        "word-not-mapping", "words-not-list", "state-not-mapping",
+        "emissions-not-mapping", "entry-not-mapping", "exit-not-mapping",
+        "transitions-not-mapping", "transition-row-not-mapping",
+        "grammar-states-not-list", "grammar-state-not-name", "start-not-name",
+        "accepting-not-list", "arcs-not-list", "arc-not-mapping",
+        "arc-state-not-name", "arc-word-not-name",
+    ],
+)
+def test_malformed_model_shape(old, new):
+    load_models(MINIMAL_MODELS)
+    assert old in MINIMAL_MODELS
+    with pytest.raises(ModelConfigError):
+        load_models(MINIMAL_MODELS.replace(old, new, 1))
+
+
 def test_list_model_prefers_ih_branch(bank_models):
     hmm = hmm_by_name(bank_models, "list")
     logp, path = viterbi_word(["l", "ih", "s", "t"], hmm)

@@ -5,10 +5,10 @@ import pytest
 
 from speakql.builder import BoundComparison, ResolvedQuery, generate_sql, resolve
 from speakql.errors import DatasetError
-from speakql.executor import execute, load_dataset
+from speakql.executor import Dataset, TableData, execute, load_dataset
 from speakql.lexer import tokenize
 from speakql.parser import Connective, parse
-from speakql.schema import JoinPlan, load_schema
+from speakql.schema import JoinPlan, build_graph, join_path, load_schema
 
 import oracles
 from conftest import FIXTURES
@@ -51,6 +51,20 @@ def test_unparseable_cell(tmp_path):
         load_dataset(tmp_path, _mini_schema())
     assert "row 2" in str(exc.value)
     assert "'n'" in str(exc.value)
+
+
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-infinity", "+Infinity", "1e400"])
+def test_non_finite_real_cell(tmp_path, raw):
+    schema = load_schema(
+        "tables:\n"
+        "  - name: t\n"
+        "    columns: [{name: a, type: text}, {name: r, type: real}]\n"
+    )
+    (tmp_path / "t.csv").write_text(f"a,r\nx,1.5\ny,{raw}\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(tmp_path, schema)
+    assert "t.csv row 3" in str(exc.value)
+    assert "'r'" in str(exc.value)
 
 
 def test_empty_cell_is_null(tmp_path):
@@ -192,3 +206,108 @@ def test_mixed_connectives_agree_with_sqlite(
     from_sqlite = sorted(db.execute(generate_sql(rq).text).fetchall())
     db.close()
     assert sorted(execute(rq, bank_dataset).rows) == from_sqlite == want
+
+
+# Values drawn for generated bank data: few distinct keys, so join keys
+# repeat, and numbers on both sides of the literals 700 and 1000.
+BANK_VALUES = {
+    "customer_name": ("Adams", "Brooks", "Curry"),
+    "customer_street": ("Main", "North"),
+    "customer_city": ("Harrison", "Rye"),
+    "branch_name": ("Brighton", "Downtown", "Mianus"),
+    "branch_city": ("Brooklyn", "Horseneck"),
+    "account_number": ("A-1", "A-2", "A-3"),
+    "loan_number": ("L-1", "L-2", "L-3"),
+}
+BANK_NUMBERS = (500.0, 700.0, 850.0, 1000.0, 1300.0)
+
+
+def generated_bank_dataset(rng, schema):
+    """0 to 4 rows per bank table; about one cell in seven is empty."""
+    tables = {}
+    for table in schema.tables:
+        rows = tuple(
+            tuple(
+                None if rng.random() < 0.15
+                else rng.choice(BANK_VALUES.get(c.name, BANK_NUMBERS))
+                for c in table.columns
+            )
+            for _ in range(rng.randint(0, 4))
+        )
+        tables[table.name] = TableData(tuple(table.column_names), rows)
+    return Dataset(tables)
+
+
+def random_comparison(rng, schema):
+    table = rng.choice(schema.tables)
+    column = rng.choice(table.columns)
+    if column.is_numeric:
+        return BoundComparison(table.name, column.name,
+                               rng.choice(["=", "<>", ">", "<", ">=", "<="]),
+                               rng.choice([700, 1000]))
+    return BoundComparison(table.name, column.name, rng.choice(["=", "<>"]),
+                           rng.choice(BANK_VALUES[column.name]))
+
+
+def test_matches_reference_on_generated_data(bank_schema, bank_graph):
+    """Rows and their order equal the nested-loop oracle's, over data with
+    nulls and repeated join keys and left-deep AND/OR predicates of 0 to 5
+    comparisons that may span tables."""
+    rng = random.Random(2024)
+    columns = [(t.name, c) for t in bank_schema.tables for c in t.column_names]
+    spanning_ors = 0
+    for _ in range(400):
+        ds = generated_bank_dataset(rng, bank_schema)
+        select = tuple(rng.sample(columns, rng.randint(1, 3)))
+        comparisons = [random_comparison(rng, bank_schema) for _ in range(rng.randint(0, 5))]
+        pred = comparisons[0] if comparisons else None
+        ops = [rng.choice(["and", "or"]) for _ in comparisons[1:]]
+        for op, c in zip(ops, comparisons[1:]):
+            pred = Connective(op, pred, c)
+        pred_tables = {c.table for c in comparisons}
+        spanning_ors += "or" in ops and len(pred_tables) > 1
+        plan = join_path(bank_graph, {t for t, _ in select} | pred_tables)
+        rq = ResolvedQuery(select, pred, plan)
+        assert list(execute(rq, ds).rows) == oracles.reference_execute(rq, ds)
+    assert spanning_ors > 50
+
+
+def test_hash_join_at_scale():
+    """20 000 rows joined to 200 (4 x 10^6 combinations), with a conjunct
+    on one table and an OR across both, against rows computed with a dict."""
+    schema = load_schema(
+        "tables:\n"
+        "  - name: sale\n"
+        "    columns: [{name: sale_id, type: integer}, {name: store_id, type: integer},"
+        " {name: qty, type: integer}]\n"
+        "  - name: store\n"
+        "    columns: [{name: store_id, type: integer}, {name: city, type: text}]\n"
+    )
+    rng = random.Random(7)
+    cities = ("Rye", "Troy", "Utica")
+    stores = [(k, rng.choice(cities)) for k in range(200)]
+    # some sales name no store, or a store id that is missing
+    sales = [
+        (k, None if rng.random() < 0.05 else rng.randrange(210), rng.randrange(100))
+        for k in range(20_000)
+    ]
+    ds = Dataset({"sale": TableData(("sale_id", "store_id", "qty"), tuple(sales)),
+                  "store": TableData(("store_id", "city"), tuple(stores))})
+    pred = Connective(
+        "and",
+        BoundComparison("sale", "qty", ">=", 40),
+        Connective("or", BoundComparison("store", "city", "=", "Rye"),
+                   BoundComparison("sale", "qty", "<", 45)),
+    )
+    plan = join_path(build_graph(schema), {"sale", "store"})
+    rq = ResolvedQuery((("sale", "sale_id"), ("store", "city")), pred, plan)
+
+    city_of = dict(stores)
+    want = []
+    for sale_id, store_id, qty in sales:
+        city = city_of.get(store_id)
+        if city is not None and qty >= 40 and (city == "Rye" or qty < 45):
+            want.append((sale_id, city))
+    got = execute(rq, ds).rows
+    assert len(got) > 2000
+    assert list(got) == want

@@ -41,13 +41,22 @@ def test_missing_verb(bank_lexicon):
     [
         "9" * 400 + ".5",  # beyond float range
         "9" * 4301,  # more digits than int() converts
+        "0." + "0" * 400 + "1",  # a non-zero fraction that rounds to 0.0
     ],
-    ids=["beyond-float-range", "too-many-digits"],
+    ids=["beyond-float-range", "too-many-digits", "underflows-to-zero"],
 )
 def test_unrepresentable_number_literal(bank_lexicon, number):
     with pytest.raises(QueryParseError) as exc:
         parse_text(f"get customer_name whose balance greater than {number}", bank_lexicon)
     assert exc.value.position == 5  # get customer_name whose balance > NUMBER
+
+
+@pytest.mark.parametrize(
+    "number, value", [("0.000", 0), ("0." + "0" * 300 + "1", 1e-301)], ids=["zero", "tiny"]
+)
+def test_small_number_literal_kept(bank_lexicon, number, value):
+    ir = parse_text(f"get customer_name whose balance equals {number}", bank_lexicon)
+    assert ir.predicate.literal == value
 
 
 def test_trailing_garbage(bank_lexicon):
