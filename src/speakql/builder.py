@@ -42,12 +42,6 @@ def extract_clauses(ir):
     return select_clause, "WHERE " + where
 
 
-def _sql_literal(literal):
-    if isinstance(literal, str):
-        return "'" + literal.replace("'", "''") + "'"
-    return format_literal(literal)
-
-
 def _render_predicate(pred, qualify):
     """SQL text of a predicate, and whether it has an OR connective.
 
@@ -57,7 +51,7 @@ def _render_predicate(pred, qualify):
 
     def leaf(c):
         lhs = f"{c.table}.{c.column}" if qualify else c.column
-        return f"{lhs} {c.op} {_sql_literal(c.literal)}", None
+        return f"{lhs} {c.op} {format_literal(c.literal)}", None
 
     def join(node, left, right):
         ops.add(node.op)

@@ -146,8 +146,9 @@ def _parse_number(text, position):
 
 
 def format_literal(literal):
-    """Canonical rendering: numbers without leading zeros or trailing
-    fractional zeros, strings single-quoted."""
+    """Canonical rendering, shared by the IR text and the SQL: numbers
+    without leading zeros or trailing fractional zeros, strings
+    single-quoted with each inner quote doubled."""
     if isinstance(literal, bool):
         raise TypeError("boolean literal")
     if isinstance(literal, int):
@@ -156,7 +157,7 @@ def format_literal(literal):
         if literal == int(literal):
             return str(int(literal))
         return repr(literal)
-    return "'" + str(literal) + "'"
+    return "'" + str(literal).replace("'", "''") + "'"
 
 
 def fold_predicate(pred, leaf, join):

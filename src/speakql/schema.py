@@ -1,11 +1,14 @@
 """Schema loading, the shared-column graph, and join-path inference.
 
 Tables are connected whenever they share a column name; joins are
-equalities on those shared names. For more than two required tables a
-Steiner-tree approximation is used: shortest path between the first
-pair, then each remaining table attaches to the nearest already
-selected one. All tie-breaks are deterministic (declaration order,
-then lexicographically smallest path).
+equalities on those shared names. A graph indexes each table's
+neighbours once, sorted by name. `join_path` approximates the Steiner
+tree greedily: the required tables are taken in declaration order,
+and each one not yet selected attaches by one breadth-first search
+outward from the whole selected set. Walking back from the new table,
+always to the smallest-named neighbour one step nearer, gives the
+shortest attaching path and, among those, the lexicographically
+smallest one, so every tie-break is deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import yaml
 
@@ -102,13 +106,14 @@ class SchemaGraph:
     def shared_columns(self, a, b):
         return self.edges.get(frozenset((a, b)), frozenset())
 
-    def neighbors(self, table):
-        """Neighbors in declaration order."""
-        out = []
-        for other in self.nodes:
-            if other != table and frozenset((table, other)) in self.edges:
-                out.append(other)
-        return out
+    @cached_property
+    def adjacency(self):
+        """Each table's neighbours, sorted by name."""
+        adjacency = {t: [] for t in self.nodes}
+        for a, b in self.edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        return {t: tuple(sorted(neighbours)) for t, neighbours in adjacency.items()}
 
 
 @dataclass(frozen=True)
@@ -189,86 +194,59 @@ def tables_owning(schema, column_name):
     return entity + relationship
 
 
-def _shortest_path(graph, src, dst):
-    """Lexicographically smallest shortest path src..dst, or None."""
-    if src == dst:
-        return [src]
-    dist = {dst: 0}
-    frontier = deque([dst])
-    while frontier:
+def _attach(adjacency, selected, table):
+    """Shortest path from the `selected` set to `table`, or None if none
+    exists. Read from `table` back, it is the lexicographically smallest
+    of the shortest paths."""
+    dist = dict.fromkeys(selected, 0)
+    frontier = deque(selected)
+    while table not in dist and frontier:
         cur = frontier.popleft()
-        for n in graph.neighbors(cur):
+        for n in adjacency[cur]:
             if n not in dist:
                 dist[n] = dist[cur] + 1
                 frontier.append(n)
-    if src not in dist:
+    if table not in dist:
         return None
-    # Walk greedily toward dst; smallest-named eligible neighbor gives the
-    # lexicographically smallest sequence among all shortest paths.
-    path = [src]
-    cur = src
-    while cur != dst:
-        step = min(
-            n for n in graph.neighbors(cur) if dist.get(n, -1) == dist[cur] - 1
-        )
-        path.append(step)
-        cur = step
-    return path
-
-
-def _nearest_attachment(graph, start, selected):
-    """Shortest path from `start` to any table in `selected`; ties broken by
-    lexicographically smallest path sequence. Returns None if unreachable."""
-    best = None
-    for target in sorted(selected):
-        path = _shortest_path(graph, start, target)
-        if path is None:
-            continue
-        key = (len(path), path)
-        if best is None or key < best[0]:
-            best = (key, path)
-    return None if best is None else best[1]
+    path = [table]
+    while dist[path[-1]]:
+        nearer = dist[path[-1]] - 1
+        path.append(next(n for n in adjacency[path[-1]] if dist.get(n) == nearer))
+    return path[::-1]
 
 
 def join_path(graph, required):
     """JoinPlan connecting all required tables.
 
-    Steiner approximation: shortest path between the first two required
-    tables (declaration order), then each remaining required table
-    attaches by shortest path to the nearest already selected table.
+    Greedy Steiner approximation (Takahashi and Matsuyama 1980): start
+    from the first required table in declaration order; each later one
+    not yet selected attaches by its shortest path to the selected set,
+    found by one breadth-first search from that whole set. Tables are
+    listed in the order they were selected, and each path edge adds one
+    equality per shared column, sorted by name.
     """
-    order = [t for t in graph.nodes if t in set(required)]
+    required = set(required)
+    unknown = required.difference(graph.adjacency)
+    if unknown:
+        raise ValueError(f"required table {min(unknown)!r} is not in the schema graph")
+    order = [t for t in graph.nodes if t in required]
     if not order:
         raise ValueError("required table set is empty")
-    for t in required:
-        if t not in graph.nodes:
-            raise ValueError(f"required table {t!r} is not in the schema graph")
 
     tables = [order[0]]
+    selected = {order[0]}
     conditions = []
-    used_edges = set()
-
-    def add_edge(left, right):
-        key = frozenset((left, right))
-        if key in used_edges:
-            return
-        used_edges.add(key)
-        for col in sorted(graph.shared_columns(left, right)):
-            conditions.append((left, col, right, col))
-
-    def add_path(path):
-        # path[0] is already selected; append the rest preserving adjacency
-        for prev, nxt in zip(path, path[1:]):
-            if nxt not in tables:
-                tables.append(nxt)
-            add_edge(prev, nxt)
-
     for target in order[1:]:
-        if target in tables:
+        if target in selected:
             continue
-        path = _nearest_attachment(graph, target, tables)
+        path = _attach(graph.adjacency, selected, target)
         if path is None:
             raise DisconnectedSchemaError(tables[0], target)
-        add_path(list(reversed(path)))  # orient selected -> new table
+        # only path[0] was selected before, so every edge on it is new
+        tables += path[1:]
+        selected.update(path[1:])
+        for left, right in zip(path, path[1:]):
+            for col in sorted(graph.shared_columns(left, right)):
+                conditions.append((left, col, right, col))
 
     return JoinPlan(tuple(tables), tuple(conditions))

@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations used as test oracles.
 
 These deliberately share no code with the package internals: subset
-enumeration for join planning, exhaustive path enumeration for HMM
-decoding, and a literal triple-loop executor.
+and simple-path enumeration for join planning, exhaustive path
+enumeration for HMM decoding, and a literal triple-loop executor.
 """
 
 import math
@@ -39,6 +39,48 @@ def _connected(graph, subset):
                 seen.add(other)
                 frontier.append(other)
     return seen == subset
+
+
+def reference_join_path(graph, required):
+    """The greedy plan join_path should make, by exhaustive path search.
+
+    Required tables attach in declaration order. Each one not yet
+    selected takes, over every simple path from it to every selected
+    table, the shortest path and then the lexicographically smallest.
+    Returns (tables, conditions), or None if some table cannot attach."""
+    order = [t for t in graph.nodes if t in set(required)]
+    tables = order[:1]
+    conditions = []
+    used = set()
+    for target in order[1:]:
+        if target in tables:
+            continue
+        paths = [p for p in _simple_paths(graph, target) if p[-1] in tables]
+        if not paths:
+            return None
+        path = min(paths, key=lambda p: (len(p), p))
+        path.reverse()
+        for left, right in zip(path, path[1:]):
+            if right not in tables:
+                tables.append(right)
+            if frozenset((left, right)) not in used:
+                used.add(frozenset((left, right)))
+                for col in sorted(graph.shared_columns(left, right)):
+                    conditions.append((left, col, right, col))
+    return tuple(tables), tuple(conditions)
+
+
+def _simple_paths(graph, start):
+    """Every simple path that begins at `start`, as lists."""
+    out = []
+    stack = [[start]]
+    while stack:
+        path = stack.pop()
+        out.append(path)
+        for other in graph.nodes:
+            if other not in path and graph.shared_columns(path[-1], other):
+                stack.append(path + [other])
+    return out
 
 
 def plan_is_connected(plan):

@@ -139,6 +139,11 @@ def test_ir_to_text_string_literal():
     )
 
 
+def test_ir_to_text_doubles_inner_quotes(bank_lexicon):
+    ir = parse_text('get customer_name whose customer_city equals "O\'Hare"', bank_lexicon)
+    assert ir_to_text(ir) == "VP[select(customer_name), where(=(customer_city, 'O''Hare'))]"
+
+
 def test_grammar_roundtrip_fuzz(bank_schema, bank_lexicon):
     rng = random.Random(4242)
     for _ in range(200):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from speakql.schema import (
     tables_owning,
 )
 
-from oracles import min_connected_superset, plan_is_connected
+from oracles import min_connected_superset, plan_is_connected, reference_join_path
 
 
 def test_bank_schema_loads(bank_schema):
@@ -149,6 +150,13 @@ def test_join_path_disconnected():
     assert exc.value.table_b == "B"
 
 
+def test_join_path_names_unknown_table(bank_graph):
+    with pytest.raises(ValueError, match="'Z'"):
+        join_path(bank_graph, {"Z"})
+    with pytest.raises(ValueError, match="empty"):
+        join_path(bank_graph, set())
+
+
 def test_join_path_deterministic(bank_graph):
     plans = [join_path(bank_graph, {"customer", "loan", "account"}) for _ in range(5)]
     assert all(p == plans[0] for p in plans)
@@ -219,3 +227,46 @@ def test_join_path_exact_on_random_trees():
         oracle = min_connected_superset(graph, required)
         assert plan_is_connected(plan)
         assert len(plan.tables) == len(oracle)
+
+
+def test_join_path_matches_reference_plan():
+    # Names are shuffled so that declaration order and name order differ,
+    # and edges may carry several columns; about one graph in four leaves
+    # some required table unreachable.
+    rng = random.Random(20261018)
+    disconnected = 0
+    for _ in range(1200):
+        names = rng.sample("ABCDEFGHIJ", rng.randint(2, 8))
+        density = rng.uniform(0.15, 0.7)
+        edges = {}
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                if rng.random() < density:
+                    edges[frozenset((a, b))] = frozenset(
+                        rng.sample(["k", "a_id", "z"], rng.randint(1, 2))
+                    )
+        graph = SchemaGraph(tuple(names), edges)
+        required = set(rng.sample(names, rng.randint(1, min(4, len(names)))))
+        expected = reference_join_path(graph, required)
+        if expected is None:
+            disconnected += 1
+            with pytest.raises(DisconnectedSchemaError):
+                join_path(graph, required)
+            continue
+        plan = join_path(graph, required)
+        assert (plan.tables, plan.conditions) == expected
+    assert disconnected >= 100
+
+
+def test_join_path_scales_to_long_chain():
+    names = [f"t{i:03d}" for i in range(400)]
+    required = {names[0], names[200], names[-1]}
+    elapsed = []
+    for _ in range(3):
+        graph = _line_graph(names)  # fresh graph: timing includes the index
+        start = time.perf_counter()
+        plan = join_path(graph, required)
+        elapsed.append(time.perf_counter() - start)
+    assert plan.tables[:1] == (names[0],) and len(plan.tables) == 400
+    assert plan_is_connected(plan)
+    assert min(elapsed) < 0.1
