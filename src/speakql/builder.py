@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -51,17 +52,19 @@ def _render_predicate(pred, qualify):
 
     def leaf(c):
         lhs = f"{c.table}.{c.column}" if qualify else c.column
-        return f"{lhs} {c.op} {format_literal(c.literal)}", None
+        return deque([f"{lhs} {c.op} {format_literal(c.literal)}"]), None
 
-    def join(node, left, right):
+    def join(node, left, right):  # joined once below, so linear in the text
         ops.add(node.op)
-        parts = [
-            text if op in (None, node.op) else f"({text})" for text, op in (left, right)
-        ]
-        return f" {node.op.upper()} ".join(parts), node.op
+        for parts, op in (left, right):
+            if op not in (None, node.op):
+                parts.appendleft("(")
+                parts.append(")")
+        left[0].extend((f" {node.op.upper()} ", *right[0]))
+        return left[0], node.op
 
-    text, _ = fold_predicate(pred, leaf, join)
-    return text, "or" in ops
+    parts, _ = fold_predicate(pred, leaf, join)
+    return "".join(parts), "or" in ops
 
 
 def resolve(ir, schema, graph):
@@ -72,9 +75,7 @@ def resolve(ir, schema, graph):
             table = schema.table(ir.scope_table)
             if table is not None and table.column(column) is not None:
                 return table.name
-            raise ResolveError(
-                f"table {ir.scope_table!r} does not own column {column!r}"
-            )
+            raise ResolveError(f"table {ir.scope_table!r} does not own column {column!r}")
         owners = tables_owning(schema, column)
         if not owners:
             raise ResolveError(f"no table owns column {column!r}")
@@ -86,9 +87,7 @@ def resolve(ir, schema, graph):
     def bind(pred):
         table = owner_of(pred.column)
         kind = schema.table(table).column(pred.column)
-        is_number = isinstance(pred.literal, (int, float)) and not isinstance(
-            pred.literal, bool
-        )
+        is_number = isinstance(pred.literal, (int, float)) and not isinstance(pred.literal, bool)
         if pred.op in NUMERIC_OPS and (not kind.is_numeric or not is_number):
             raise ResolveError(
                 f"comparator {pred.op!r} needs a numeric column and literal; "

@@ -156,9 +156,11 @@ def execute(rq, ds):
         if name not in ds.tables:
             raise DatasetError(f"table {name!r} not present in dataset")
     order = [t for t in ds.tables if t in plan.tables]
+    # case-insensitive, as in SQL: tables may spell a shared column differently
+    positions = {t: {c.lower(): i for i, c in enumerate(ds.tables[t].header)} for t in order}
 
     def column(table, name):
-        return ds.tables[table].header.index(name)
+        return positions[table][name.lower()]
 
     rows = {t: ds.tables[t].rows for t in order}
     residual = []

@@ -91,11 +91,9 @@ class Lexicon:
 
 
 def generate_lexicon(schema):
-    columns, tables = {}, {}
-    for t in schema.tables:
-        tables[t.name.lower()] = t.name
-        for c in t.columns:
-            columns.setdefault(c.name.lower(), c.name)
+    tables = {name: t.name for name, t in schema.tables_by_name.items()}
+    # a shared column is spelt as its first-declared owner spells it
+    columns = {name: ts[0].column(name).name for name, ts in schema.owners_by_column.items()}
     for ident in list(columns) + list(tables):
         if ident in RESERVED_WORDS:
             raise LexiconCollisionError(

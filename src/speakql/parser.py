@@ -16,6 +16,7 @@ sentence is rejected (conditions may not precede the WHERE introducer).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -183,9 +184,14 @@ def ir_to_text(ir):
     select = "select(" + ", ".join(ir.select_columns) + ")"
     if ir.predicate is None:
         return f"VP[{select}]"
-    where = fold_predicate(
-        ir.predicate,
-        lambda c: f"{c.op}({c.column}, {format_literal(c.literal)})",
-        lambda node, left, right: f"{node.op}({left}, {right})",
-    )
-    return f"VP[{select}, where({where})]"
+
+    def leaf(c):
+        return deque([f"{c.op}({c.column}, {format_literal(c.literal)})"])
+
+    def join(node, left, right):  # joined once below, so linear in the text
+        left.appendleft(f"{node.op}(")
+        left.extend((", ", *right, ")"))
+        return left
+
+    where = fold_predicate(ir.predicate, leaf, join)
+    return f"VP[{select}, where({''.join(where)})]"

@@ -1,5 +1,9 @@
 """Schema loading, the shared-column graph, and join-path inference.
 
+Names are case-insensitive: the schema's name index, built once,
+maps lower-cased table names to tables, each table's column names to
+columns, and column names to owning tables in declaration order.
+
 Tables are connected whenever they share a column name; joins are
 equalities on those shared names. A graph indexes each table's
 neighbours once, sorted by name. `join_path` approximates the Steiner
@@ -51,6 +55,7 @@ class Table:
     name: str
     kind: str  # entity | relationship
     columns: tuple[Column, ...]
+    columns_by_name: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _IDENT_RE.match(self.name):
@@ -59,41 +64,35 @@ class Table:
             raise SchemaConfigError(f"unknown table kind {self.kind!r} for {self.name!r}")
         if not self.columns:
             raise SchemaConfigError(f"table {self.name!r} has no columns")
-        seen = set()
         for col in self.columns:
-            if col.name.lower() in seen:
-                raise SchemaConfigError(
-                    f"duplicate column {col.name!r} in table {self.name!r}"
-                )
-            seen.add(col.name.lower())
+            if col.name.lower() in self.columns_by_name:
+                raise SchemaConfigError(f"duplicate column {col.name!r} in table {self.name!r}")
+            self.columns_by_name[col.name.lower()] = col
 
     @property
     def column_names(self):
         return [c.name for c in self.columns]
 
     def column(self, name):
-        for c in self.columns:
-            if c.name.lower() == name.lower():
-                return c
-        return None
+        return self.columns_by_name.get(name.lower())
 
 
 @dataclass(frozen=True)
 class Schema:
     tables: tuple[Table, ...]
+    tables_by_name: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    owners_by_column: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
         for t in self.tables:
-            if t.name.lower() in seen:
+            if t.name.lower() in self.tables_by_name:
                 raise SchemaConfigError(f"duplicate table name {t.name!r}")
-            seen.add(t.name.lower())
+            self.tables_by_name[t.name.lower()] = t
+            for column_name in t.columns_by_name:
+                self.owners_by_column.setdefault(column_name, []).append(t)
 
     def table(self, name):
-        for t in self.tables:
-            if t.name.lower() == name.lower():
-                return t
-        return None
+        return self.tables_by_name.get(name.lower())
 
 
 @dataclass(frozen=True)
@@ -171,27 +170,22 @@ def _reject_unknown_keys(mapping, allowed, where):
 
 
 def build_graph(schema):
-    """Edge between every pair of tables sharing >=1 column name."""
-    edges = {}
-    for i, a in enumerate(schema.tables):
-        a_cols = {c.name.lower(): c.name for c in a.columns}
-        for b in schema.tables[i + 1 :]:
-            shared = sorted(
-                a_cols[c.name.lower()] for c in b.columns if c.name.lower() in a_cols
-            )
-            if shared:
-                edges[frozenset((a.name, b.name))] = frozenset(shared)
+    """Edge between every pair of tables sharing >=1 column name, labelled
+    with the earlier-declared table's spellings of the shared names."""
+    shared = {}
+    for name, owners in schema.owners_by_column.items():
+        for i, a in enumerate(owners):
+            for b in owners[i + 1 :]:
+                shared.setdefault(frozenset((a.name, b.name)), []).append(a.column(name).name)
+    edges = {pair: frozenset(names) for pair, names in shared.items()}
     return SchemaGraph(tuple(t.name for t in schema.tables), edges)
 
 
 def tables_owning(schema, column_name):
     """All tables containing the column: entity tables first, then
     relationship tables, declaration order within each group."""
-    entity, relationship = [], []
-    for t in schema.tables:
-        if t.column(column_name) is not None:
-            (entity if t.kind == "entity" else relationship).append(t.name)
-    return entity + relationship
+    owners = schema.owners_by_column.get(column_name.lower(), ())
+    return [t.name for t in sorted(owners, key=lambda t: t.kind != "entity")]
 
 
 def _attach(adjacency, selected, table):

@@ -1,14 +1,41 @@
 """Independent brute-force reference implementations used as test oracles.
 
-These deliberately share no code with the package internals: subset
-and simple-path enumeration for join planning, exhaustive path
-enumeration for HMM decoding, and a literal triple-loop executor.
+These deliberately share no code with the package internals: scans of
+every table and column for name lookups, subset and simple-path
+enumeration for join planning, exhaustive path enumeration for HMM
+decoding, and a literal triple-loop executor.
 """
 
 import math
 from itertools import combinations, product
 
 NEG_INF = float("-inf")
+
+
+# ------------------------------------------------------------- name lookups
+
+def reference_graph(schema):
+    """(nodes, edges) of the shared-column graph, by comparing every pair
+    of tables. Each edge is labelled with the earlier-declared table's
+    spellings of the names the two share, compared case-insensitively."""
+    edges = {}
+    for i, a in enumerate(schema.tables):
+        a_cols = {c.name.lower(): c.name for c in a.columns}
+        for b in schema.tables[i + 1 :]:
+            shared = [a_cols[c.name.lower()] for c in b.columns if c.name.lower() in a_cols]
+            if shared:
+                edges[frozenset((a.name, b.name))] = frozenset(shared)
+    return tuple(t.name for t in schema.tables), edges
+
+
+def reference_tables_owning(schema, column_name):
+    """Names of the tables with the column, by scanning every column of
+    every table: entity tables first, declaration order within a kind."""
+    owners = {"entity": [], "relationship": []}
+    for t in schema.tables:
+        if any(c.name.lower() == column_name.lower() for c in t.columns):
+            owners[t.kind].append(t.name)
+    return owners["entity"] + owners["relationship"]
 
 
 # ---------------------------------------------------------------- join paths

@@ -1,9 +1,12 @@
+import csv
+import io
 import random
 import sqlite3
 
 import pytest
 
 from speakql.builder import BoundComparison, ResolvedQuery, generate_sql, resolve
+from speakql.cli import main
 from speakql.errors import DatasetError
 from speakql.executor import Dataset, TableData, execute, load_dataset
 from speakql.lexer import tokenize
@@ -198,14 +201,44 @@ def test_mixed_connectives_agree_with_sqlite(
     text, want, bank_schema, bank_graph, bank_lexicon, bank_dataset
 ):
     rq = rq_of(text, bank_schema, bank_graph, bank_lexicon)
+    from_sqlite = sqlite_rows(bank_dataset, generate_sql(rq).text)
+    assert sorted(execute(rq, bank_dataset).rows) == from_sqlite == want
+
+
+def sqlite_rows(ds, sql):
+    """Rows sqlite gives for `sql` over the dataset, sorted."""
     db = sqlite3.connect(":memory:")
-    for name, data in bank_dataset.tables.items():
+    for name, data in ds.tables.items():
         db.execute(f"CREATE TABLE {name} ({', '.join(data.header)})")
         slots = ", ".join("?" * len(data.header))
         db.executemany(f"INSERT INTO {name} VALUES ({slots})", data.rows)
-    from_sqlite = sorted(db.execute(generate_sql(rq).text).fetchall())
+    rows = sorted(db.execute(sql).fetchall())
     db.close()
-    assert sorted(execute(rq, bank_dataset).rows) == from_sqlite == want
+    return rows
+
+
+@pytest.mark.parametrize("query", ["get aval and bval", "get bval whose key equals 1"])
+def test_case_variant_spellings_of_one_column(tmp_path, capsys, query):
+    # `Key` and `key` are one column to the graph and to SQL, which emits
+    # ta's spelling for both tables
+    (tmp_path / "schema.yaml").write_text(
+        "tables:\n"
+        "  - name: ta\n"
+        "    columns: [{name: Key, type: integer}, {name: aval, type: text}]\n"
+        "  - name: tb\n"
+        "    columns: [{name: key, type: integer}, {name: bval, type: text}]\n"
+    )
+    (tmp_path / "ta.csv").write_text("Key,aval\n1,x\n2,y\n,z\n")
+    (tmp_path / "tb.csv").write_text("key,bval\n1,p\n1,q\n3,r\n,s\n")
+    args = ["--schema", str(tmp_path / "schema.yaml"), "--query", query]
+    assert main(args) == 0
+    sql = capsys.readouterr().out.strip()
+    assert "ta.Key = tb.Key" in sql
+    assert main(args + ["--data", str(tmp_path), "--emit", "rows", "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    ds = load_dataset(tmp_path, load_schema((tmp_path / "schema.yaml").read_text()))
+    assert sorted(tuple(r) for r in rows) == sqlite_rows(ds, sql)
+    assert rows
 
 
 # Values drawn for generated bank data: few distinct keys, so join keys

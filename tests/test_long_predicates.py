@@ -9,6 +9,7 @@ oracles recurse.
 import operator
 import os
 import random
+import time
 
 import pytest
 
@@ -58,25 +59,36 @@ def long_query(n):
     return " ".join(words), conds
 
 
+# The expected texts are built left to right, each opening parenthesis
+# counted and prepended once at the end, so they cost linear time too.
+
 def expected_ir(conds):
-    text = None
+    opens, body = [], []
     for connective, column, op, literal in conds:
         leaf = f"{op}({column}, {literal_text(literal)})"
-        text = f"{connective}({text}, {leaf})" if connective else leaf
+        if connective:
+            opens.append(f"{connective}(")
+            body.append(f", {leaf})")
+        else:
+            body.append(leaf)
+    text = "".join(reversed(opens)) + "".join(body)
     return f"VP[select(customer_name), where({text})]"
 
 
 def expected_sql(conds):
-    text, top = None, None
+    opens, body, top = 0, [], None
     for connective, column, op, literal in conds:
         leaf = f"account.{column} {op} {literal_text(literal)}"
         if connective is None:
-            text = leaf
+            body.append(leaf)
             continue
         if top not in (None, connective):
-            text = f"({text})"
-        text, top = f"{text} {connective.upper()} {leaf}", connective
+            opens += 1
+            body.append(")")
+        body.append(f" {connective.upper()} {leaf}")
+        top = connective
     assert any(c == "or" for c, *_ in conds)  # so the predicate is parenthesised
+    text = "(" * opens + "".join(body)
     return (
         "SELECT customer.customer_name FROM customer, depositor, account "
         f"WHERE ({text}){JOINS}"
@@ -152,3 +164,18 @@ def test_long_predicate_cli(n, emit, capsys, bank_dataset):
             name for name, in expected_rows(conds, bank_dataset)
         ])
     assert_same_text(captured.out, want + "\n")
+
+
+def test_rendering_time_is_linear(bank_schema, bank_graph, bank_lexicon):
+    # concatenating at each connective took 1.5 s at this size
+    text, conds = long_query(20000)
+    ir = parse(tokenize(text, bank_lexicon))
+    rq = resolve(ir, bank_schema, bank_graph)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        ir_text, sql = ir_to_text(ir), generate_sql(rq).text
+        elapsed.append(time.perf_counter() - start)
+    assert_same_text(ir_text, expected_ir(conds))
+    assert_same_text(sql, expected_sql(conds))
+    assert min(elapsed) < 0.2

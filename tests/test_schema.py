@@ -4,15 +4,27 @@ import time
 import pytest
 
 from speakql.errors import DisconnectedSchemaError, SchemaConfigError
+from speakql.lexer import generate_lexicon
 from speakql.schema import (
+    TABLE_KINDS,
+    VALUE_KINDS,
+    Column,
+    Schema,
     SchemaGraph,
+    Table,
     build_graph,
     join_path,
     load_schema,
     tables_owning,
 )
 
-from oracles import min_connected_superset, plan_is_connected, reference_join_path
+from oracles import (
+    min_connected_superset,
+    plan_is_connected,
+    reference_graph,
+    reference_join_path,
+    reference_tables_owning,
+)
 
 
 def test_bank_schema_loads(bank_schema):
@@ -43,6 +55,11 @@ def test_minimal_schema():
          "duplicate table"),
         ("tables:\n  - name: t\n    columns: [{name: a, type: text}, {name: a, type: text}]\n",
          "duplicate column"),
+        ("tables:\n  - name: Customer\n    columns: [{name: a, type: text}]\n"
+         "  - name: customer\n    columns: [{name: b, type: text}]\n",
+         "duplicate table name 'customer'"),
+        ("tables:\n  - name: t\n    columns: [{name: a, type: text}, {name: A, type: text}]\n",
+         "duplicate column 'A' in table 't'"),
         ("tables:\n  - name: t\n    columns: [{name: a, type: money}]\n",
          "unknown value kind"),
         ("tables:\n  - name: t\n    colunms: [{name: a, type: text}]\n",
@@ -112,6 +129,80 @@ def test_entity_tables_precede_relationship_tables(bank_schema):
         owners = tables_owning(bank_schema, column)
         kinds = [bank_schema.table(n).kind for n in owners]
         assert kinds == sorted(kinds, key=lambda k: k != "entity")
+
+
+def _respell(rng, name):
+    return "".join(ch.upper() if rng.random() < 0.3 else ch for ch in name)
+
+
+SHARED = ("key", "ref_id", "code", "k2")
+
+
+def _random_schema(rng):
+    """2 to 8 tables of both kinds, declared out of name order. About half
+    the pairs are given one or two shared columns, and every table spells
+    each of its names in a case of its own."""
+    names = rng.sample(["ta", "tb", "tc", "td", "te", "tf", "tg", "th"], rng.randint(2, 8))
+    columns = {n: {f"{n}_own"} for n in names}
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if rng.random() < 0.5:
+                shared = rng.sample(SHARED, rng.randint(1, 2))
+                columns[a].update(shared)
+                columns[b].update(shared)
+    tables = []
+    for n in names:
+        cols = [Column(_respell(rng, c), rng.choice(VALUE_KINDS)) for c in sorted(columns[n])]
+        rng.shuffle(cols)
+        tables.append(Table(_respell(rng, n), rng.choice(TABLE_KINDS), tuple(cols)))
+    return Schema(tuple(tables))
+
+
+def test_name_index_matches_reference_scans():
+    rng = random.Random(20261018)
+    mixed_labels = 0
+    for _ in range(300):
+        schema = _random_schema(rng)
+        graph = build_graph(schema)
+        nodes, edges = reference_graph(schema)
+        assert graph.nodes == nodes
+        assert graph.edges == edges
+        for pair, label in edges.items():
+            a, b = (schema.table(t) for t in pair)
+            mixed_labels += any(a.column(c).name != b.column(c).name for c in label)
+        for name in SHARED + ("ta_own", "missing"):
+            for spelling in (name, _respell(rng, name)):
+                assert tables_owning(schema, spelling) == reference_tables_owning(
+                    schema, spelling
+                )
+        first_spelling = {}
+        for t in schema.tables:
+            assert schema.table(_respell(rng, t.name.lower())) is t
+            for c in t.columns:
+                assert t.column(_respell(rng, c.name.lower())) is c
+                first_spelling.setdefault(c.name.lower(), c.name)
+        assert generate_lexicon(schema).column_spelling == first_spelling
+    assert mixed_labels > 100
+
+
+def test_build_graph_scales_to_long_chain():
+    # each table shares one column with the next; comparing every pair of
+    # tables took 0.53 s at this size
+    n = 800
+    schema = Schema(tuple(
+        Table(f"t{i:03d}", "entity", (
+            Column(f"k{i}", "integer"), Column(f"k{i + 1}", "integer"), Column(f"v{i}", "text"),
+        ))
+        for i in range(n)
+    ))
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        graph = build_graph(schema)
+        elapsed.append(time.perf_counter() - start)
+    assert len(graph.edges) == n - 1
+    assert graph.shared_columns("t041", "t042") == {"k42"}
+    assert min(elapsed) < 0.05
 
 
 def test_join_path_golden(bank_graph):
