@@ -98,7 +98,7 @@ def _read(path):
     try:
         with io.open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpeakqlError(f"cannot read {path}: {exc}") from exc
 
 

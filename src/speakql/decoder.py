@@ -94,7 +94,7 @@ def load_models(model_text):
     """Parse and validate a model-config document (YAML)."""
     try:
         doc = yaml.safe_load(model_text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # nesting too deep to compose
         raise ModelConfigError(f"model config parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelConfigError("model config must be a mapping")

@@ -7,13 +7,13 @@ come out in the lexicographic order of source-row indices, tables taken
 in schema declaration order.
 
 The product is never enumerated. Each top-level AND conjunct of the
-predicate that reads one table filters that table's rows first. Tables
-are then joined in declaration order: a table linked by a join
-condition to one already placed is looked up in a hash of its rows on
-the shared column, any further links are checked as equalities, and a
-table with no link yet is crossed with what is placed. Each step keeps
-rows in source order, so no sort is needed. The remaining conjuncts,
-ORs that span tables, filter the joined combinations.
+predicate that reads one table filters that table's rows first. Each
+later table in declaration order is then hash-joined to the combinations
+so far on the tuple of its columns that join conditions link to placed
+tables; rows with a null there are left out, and a table with no link
+has the empty key, so its one bucket crosses it. Each step keeps rows in
+source order, so no sort is needed. The remaining conjuncts, ORs that
+span tables, filter the joined combinations.
 """
 
 from __future__ import annotations
@@ -82,30 +82,32 @@ def load_dataset(directory, schema):
         path = directory / f"{table.name}.csv"
         if not path.is_file():
             raise DatasetError(f"missing data file {path}")
-        with io.open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DatasetError(f"{path} is empty (header row required)")
-            if header != table.column_names:
-                raise DatasetError(
-                    f"{path}: header {header} does not match schema columns "
-                    f"{table.column_names}"
-                )
-            rows = []
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != len(table.columns):
+        try:
+            with io.open(path, "r", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    raise DatasetError(f"{path} is empty (header row required)")
+                if header != table.column_names:
                     raise DatasetError(
-                        f"{path} row {row_no}: expected {len(table.columns)} "
-                        f"values, got {len(row)}"
+                        f"{path}: header {header} does not match schema columns "
+                        f"{table.column_names}"
                     )
-                rows.append(
-                    tuple(
-                        _parse_cell(raw, col, table.name, row_no)
-                        for raw, col in zip(row, table.columns)
+                rows = []
+                for row_no, row in enumerate(reader, start=2):
+                    if len(row) != len(table.columns):
+                        raise DatasetError(
+                            f"{path} row {row_no}: expected {len(table.columns)} "
+                            f"values, got {len(row)}"
+                        )
+                    rows.append(
+                        tuple(
+                            _parse_cell(raw, col, table.name, row_no)
+                            for raw, col in zip(row, table.columns)
+                        )
                     )
-                )
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise DatasetError(f"cannot read {path}: {exc}") from exc
         tables[table.name] = TableData(tuple(header), tuple(rows))
     return Dataset(tables)
 
@@ -172,25 +174,23 @@ def execute(rq, ds):
             residual.append(conjunct)
 
     # a combination concatenates its rows, table t's starting at offset[t]
-    offset, width, combos = {}, 0, [()]
-    for t in order:
+    first, *rest = order
+    combos, offset, width = rows[first], {first: 0}, len(ds.tables[first].header)
+    for t in rest:
         links = [
             (offset[other] + column(other, other_col), column(t, own_col))
             for lt, lc, rt, rc in plan.conditions
             for own, own_col, other, other_col in ((lt, lc, rt, rc), (rt, rc, lt, lc))
             if own == t and other in offset
         ]
-        if not links:
-            combos = [c + r for c in combos for r in rows[t]]
-        else:
-            (key, own), *more = links
-            matches = {}
-            for r in rows[t]:
-                if r[own] is not None:
-                    matches.setdefault(r[own], []).append(r)
-            combos = [c + r for c in combos for r in matches.get(c[key], ())]
-            for key, own in more:
-                combos = [c for c in combos if (v := c[key]) is not None and v == c[width + own]]
+        # the leading empty slice makes each key a tuple, for any number of links
+        probe = operator.itemgetter(slice(0), *[placed for placed, _ in links])
+        key = operator.itemgetter(slice(0), *[own for _, own in links])
+        matches = {}
+        for r in rows[t]:
+            if None not in (k := key(r)):
+                matches.setdefault(k, []).append(r)
+        combos = [c + r for c in combos for r in matches.get(probe(c), ())]
         offset[t] = width
         width += len(ds.tables[t].header)
 

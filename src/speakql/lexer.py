@@ -70,6 +70,8 @@ RESERVED_WORDS = frozenset(
 
 _NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
 _UNIT_RE = re.compile(r"'[^']*'|\"[^\"]*\"|\S+")
+# lone surrogates stand for query bytes that were not UTF-8 (os.fsdecode)
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def _phrases_by_first_word():
@@ -111,7 +113,8 @@ def tokenize(query_text, lexicon):
     i = 0
     while i < len(units):
         unit = units[i]
-        if len(unit) >= 2 and unit[0] in "'\"" and unit[-1] == unit[0]:
+        quoted = len(unit) >= 2 and unit[0] in "'\"" and unit[-1] == unit[0]
+        if quoted and not _SURROGATE_RE.search(unit):  # else an unknown word
             tokens.append(Token(TokenKind.STRING_LITERAL, unit, unit[1:-1], i))
             i += 1
             continue

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import QueryParseError
-from .lexer import TokenKind
+from .lexer import Token, TokenKind
 
-COMPARATORS = (">", "<", "=", ">=", "<=", "<>")
+# what the cursor reads past the last token; its kind is no TokenKind
+_END = Token(None, "", "", -1)
 
 
 @dataclass(frozen=True)
@@ -57,18 +58,18 @@ class _TokenCursor:
 
     def peek(self, ahead=0):
         i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self.tokens[i] if i < len(self.tokens) else _END
 
     def take(self, kind, expected):
         tok = self.peek()
-        if tok is None or tok.kind is not kind:
+        if tok.kind is not kind:
             raise QueryParseError(self.pos, expected, _describe(tok))
         self.pos += 1
         return tok
 
 
 def _describe(tok):
-    if tok is None:
+    if tok.kind is None:
         return "end of query"
     return f"{tok.kind.value}({tok.source_lexeme!r})"
 
@@ -79,11 +80,9 @@ def parse(tokens):
 
     select_columns = [cur.take(TokenKind.COLUMN, "a column name").target_lexeme]
     while (
-        cur.peek() is not None
-        and cur.peek().kind is TokenKind.LOGICAL_AND
-        and cur.peek(1) is not None
+        cur.peek().kind is TokenKind.LOGICAL_AND
         and cur.peek(1).kind is TokenKind.COLUMN
-        and not (cur.peek(2) is not None and cur.peek(2).kind is TokenKind.COMPARATOR)
+        and cur.peek(2).kind is not TokenKind.COMPARATOR
     ):
         cur.take(TokenKind.LOGICAL_AND, "'and'")
         select_columns.append(cur.take(TokenKind.COLUMN, "a column name").target_lexeme)
@@ -91,23 +90,20 @@ def parse(tokens):
         raise QueryParseError(cur.pos, "distinct select columns", "a duplicate column")
 
     scope_table = None
-    if cur.peek() is not None and cur.peek().kind is TokenKind.OF:
+    if cur.peek().kind is TokenKind.OF:
         cur.take(TokenKind.OF, "'of'")
         scope_table = cur.take(TokenKind.TABLE, "a table name").target_lexeme
 
     predicate = None
-    if cur.peek() is not None:
+    if cur.peek().kind is not None:
         cur.take(TokenKind.WHERE_INTRO, "a where introducer (whose/where/...)")
         predicate = _parse_condition(cur)
-        while cur.peek() is not None and cur.peek().kind in (
-            TokenKind.LOGICAL_AND,
-            TokenKind.LOGICAL_OR,
-        ):
+        while cur.peek().kind in (TokenKind.LOGICAL_AND, TokenKind.LOGICAL_OR):
             op = "and" if cur.peek().kind is TokenKind.LOGICAL_AND else "or"
             cur.pos += 1
             predicate = Connective(op, predicate, _parse_condition(cur))
 
-    if cur.peek() is not None:
+    if cur.peek().kind is not None:
         raise QueryParseError(cur.pos, "end of query", _describe(cur.peek()))
     return QueryIR(tuple(select_columns), scope_table, predicate)
 
@@ -116,7 +112,7 @@ def _parse_condition(cur):
     column = cur.take(TokenKind.COLUMN, "a column name").target_lexeme
     op = cur.take(TokenKind.COMPARATOR, "a comparator").target_lexeme
     lit = cur.peek()
-    if lit is None or lit.kind not in (TokenKind.NUMBER, TokenKind.STRING_LITERAL):
+    if lit.kind not in (TokenKind.NUMBER, TokenKind.STRING_LITERAL):
         raise QueryParseError(cur.pos, "a number or quoted string", _describe(lit))
     if lit.kind is TokenKind.NUMBER:
         literal = _parse_number(lit.target_lexeme, cur.pos)

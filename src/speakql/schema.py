@@ -126,7 +126,7 @@ def load_schema(config_text):
     """Parse and validate a schema-config document (YAML, strict keys)."""
     try:
         doc = yaml.safe_load(config_text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # nesting too deep to compose
         raise SchemaConfigError(f"schema config parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaConfigError("schema config must be a mapping with a 'tables' key")

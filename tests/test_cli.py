@@ -1,4 +1,5 @@
 import io
+import os
 from pathlib import Path
 
 import pytest
@@ -183,3 +184,51 @@ def test_repl(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines() == [GOLDEN_SQL, "SELECT branch_name FROM branch"]
     assert "frobnicate" in err  # error reported, REPL continues
+
+
+def _deep_list(depth):
+    return "[" * depth + "]" * depth
+
+
+# (file to spoil, how): each spoiled file must give a typed error, exit 3
+MALFORMED_INPUTS = {
+    "schema-invalid-utf8": ("schema.yaml", lambda b: b + b"# caf\xe9\n"),
+    "models-invalid-utf8": ("models.yaml", lambda b: b + b"# caf\xe9\n"),
+    "phonemes-invalid-utf8": ("phonemes.txt", lambda b: b"\xff" + b),
+    "csv-invalid-utf8": ("data/customer.csv", lambda b: b + b"Caf\xe9,Main,Rye\n"),
+    "csv-field-too-long": ("data/customer.csv", lambda b: b + b"x" * 200_000 + b",Main,Rye\n"),
+    "schema-deep-list": ("schema.yaml", lambda b: b"tables: " + _deep_list(1000).encode()),
+    "models-deep-list": ("models.yaml", lambda b: b + b"extra: " + _deep_list(1000).encode()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_config_error(capsys, tmp_path, case):
+    target, spoil = MALFORMED_INPUTS[case]
+    for path in FIXTURES.rglob("*"):
+        if path.is_file():
+            copy = tmp_path / path.relative_to(FIXTURES)
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            copy.write_bytes(path.read_bytes())
+    (tmp_path / target).write_bytes(spoil((tmp_path / target).read_bytes()))
+    code, out, err = run(
+        capsys, "--schema", str(tmp_path / "schema.yaml"), "--data", str(tmp_path / "data"),
+        "--models", str(tmp_path / "models.yaml"), "--phonemes", str(tmp_path / "phonemes.txt"),
+        "--emit", "rows",
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("speakql: ")
+
+
+@pytest.mark.parametrize("emit", ["sql", "ir", "rows"])
+def test_query_bytes_not_utf8_translation_error(capsys, emit):
+    # argv bytes that are not UTF-8 arrive as lone surrogates, which no
+    # output could encode
+    query = os.fsdecode(b"get customer_name whose customer_name equals 'Caf\xe9'")
+    code, out, err = run(
+        capsys, "--schema", SCHEMA, "--data", DATA, "--query", query, "--emit", emit
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("speakql: unknown word") and len(err.splitlines()) == 1

@@ -2,17 +2,19 @@ import csv
 import io
 import random
 import sqlite3
+from collections import Counter
 
 import pytest
 
 from speakql.builder import BoundComparison, ResolvedQuery, generate_sql, resolve
 from speakql.cli import main
-from speakql.errors import DatasetError
+from speakql.errors import DatasetError, ResolveError
 from speakql.executor import Dataset, TableData, execute, load_dataset
-from speakql.lexer import tokenize
-from speakql.parser import Connective, parse
+from speakql.lexer import generate_lexicon, tokenize
+from speakql.parser import Connective, fold_predicate, parse
 from speakql.schema import JoinPlan, build_graph, join_path, load_schema
 
+import genqueries
 import oracles
 from conftest import FIXTURES
 
@@ -117,6 +119,70 @@ def test_cartesian_count_without_conditions(bank_dataset):
     assert len(result.rows) == 4 * 3
 
 
+def test_unlinked_table_crossed_after_pushdown(bank_dataset):
+    # no condition links branch, so it is crossed, after its own conjunct
+    # has filtered it
+    rq = ResolvedQuery(
+        select_refs=(("customer", "customer_name"), ("branch", "branch_name")),
+        predicate_refs=BoundComparison("branch", "assets", ">", 1_000_000),
+        join_plan=JoinPlan(("customer", "branch"), ()),
+    )
+    want = [(c, b) for c in ("Adams", "Brooks", "Curry", "Davis") for b in ("Brighton", "Downtown")]
+    got = list(execute(rq, bank_dataset).rows)
+    assert got == oracles.reference_execute(rq, bank_dataset) == want
+
+
+def test_edge_of_two_shared_columns():
+    # ta and tb share k1 and k2, so their one edge gives two conditions;
+    # rows have a null in either column, or match on one column only
+    schema = load_schema(
+        "tables:\n"
+        "  - name: ta\n"
+        "    columns: [{name: k1, type: integer}, {name: k2, type: text},"
+        " {name: aval, type: text}]\n"
+        "  - name: tb\n"
+        "    columns: [{name: bval, type: text}, {name: k2, type: text},"
+        " {name: k1, type: integer}]\n"
+    )
+    plan = join_path(build_graph(schema), {"ta", "tb"})
+    assert len(plan.conditions) == 2
+    ta = ((1, "x", "a1"), (None, "x", "a2"), (2, None, "a3"), (1, "y", "a4"), (2, "y", "a5"),
+          (1, "x", "a6"))
+    tb = (("b1", "x", 1), ("b2", "y", 1), ("b3", None, 2), ("b4", "y", None), ("b5", "x", 1),
+          ("b6", "y", 2), ("b7", "x", 2))
+    ds = Dataset({"ta": TableData(("k1", "k2", "aval"), ta),
+                  "tb": TableData(("bval", "k2", "k1"), tb)})
+    rq = ResolvedQuery((("ta", "aval"), ("tb", "bval")), None, plan)
+    want = [("a1", "b1"), ("a1", "b5"), ("a4", "b2"), ("a5", "b6"), ("a6", "b1"), ("a6", "b5")]
+    assert list(execute(rq, ds).rows) == oracles.reference_execute(rq, ds) == want
+
+
+def test_later_table_with_two_placed_links(bank_graph):
+    # depositor, declared after customer and account, links to both; its
+    # customer_name matches rows whose account_number then does not
+    plan = join_path(bank_graph, {"customer", "account"})
+    assert plan.tables == ("customer", "depositor", "account")
+    ds = Dataset({
+        "customer": TableData(
+            ("customer_name", "customer_street", "customer_city"),
+            (("Adams", "Main", "Rye"), ("Brooks", "North", "Rye"), ("Curry", "Main", "Rye"),
+             (None, "Main", "Rye")),
+        ),
+        "account": TableData(
+            ("account_number", "branch_name", "balance"),
+            (("A-1", "Downtown", 500.0), ("A-2", "Mianus", 900.0), ("A-3", "Brighton", 1300.0)),
+        ),
+        "depositor": TableData(
+            ("customer_name", "account_number"),
+            (("Adams", "A-1"), ("Adams", "A-9"), ("Brooks", "A-2"), ("Brooks", None),
+             ("Curry", "A-3"), (None, "A-3"), ("Davis", "A-1"), ("Curry", "A-1")),
+        ),
+    })
+    rq = ResolvedQuery((("customer", "customer_name"), ("account", "balance")), None, plan)
+    want = [("Adams", 500.0), ("Brooks", 900.0), ("Curry", 500.0), ("Curry", 1300.0)]
+    assert list(execute(rq, ds).rows) == oracles.reference_execute(rq, ds) == want
+
+
 def test_null_comparisons_are_false(tmp_path):
     (tmp_path / "t.csv").write_text("a,n\nx,\ny,5\n")
     ds = load_dataset(tmp_path, _mini_schema())
@@ -205,13 +271,19 @@ def test_mixed_connectives_agree_with_sqlite(
     assert sorted(execute(rq, bank_dataset).rows) == from_sqlite == want
 
 
-def sqlite_rows(ds, sql):
-    """Rows sqlite gives for `sql` over the dataset, sorted."""
+def sqlite_db(ds):
+    """An in-memory sqlite database holding the dataset's tables."""
     db = sqlite3.connect(":memory:")
     for name, data in ds.tables.items():
         db.execute(f"CREATE TABLE {name} ({', '.join(data.header)})")
         slots = ", ".join("?" * len(data.header))
         db.executemany(f"INSERT INTO {name} VALUES ({slots})", data.rows)
+    return db
+
+
+def sqlite_rows(ds, sql):
+    """Rows sqlite gives for `sql` over the dataset, sorted."""
+    db = sqlite_db(ds)
     rows = sorted(db.execute(sql).fetchall())
     db.close()
     return rows
@@ -344,3 +416,71 @@ def test_hash_join_at_scale():
     got = execute(rq, ds).rows
     assert len(got) > 2000
     assert list(got) == want
+
+
+# Text the generated queries compare with ('Adams', 'Rye', 'Main St'),
+# beside values they never name; join keys come from small pools, so
+# they repeat.
+STRADDLE_TEXT = ("Adams", "Rye", "Main St", "Brooks", "North")
+BIG_INTEGERS = (2**53 + 1, -(2**53) - 1, 2**62)
+
+
+def straddling_value(rng, column, literals):
+    """A cell for `column`: null, or near one of the queries' numeric
+    literals, or for an integer column also an integer past 2^53."""
+    if rng.random() < 0.15:
+        return None
+    if column.value_kind == "text":
+        return rng.choice(STRADDLE_TEXT)
+    literal = rng.choice(literals)
+    if column.value_kind == "integer":
+        if rng.random() < 0.2:
+            return rng.choice(BIG_INTEGERS)
+        return int(literal) + rng.choice((-1, 0, 0, 1))
+    return float(literal) + rng.choice((-0.25, 0.0, 0.0, 0.25))
+
+
+def test_matches_sqlite_on_generated_queries(bank_schema_text):
+    """execute's rows equal sqlite's rows for the emitted SQL, as
+    multisets, for queries from genqueries over data whose numbers
+    straddle the queries' literals."""
+    # loan.amount is made an integer column, so it can hold integers past 2^53
+    text = bank_schema_text.replace("{name: amount, type: real}", "{name: amount, type: integer}")
+    schema = load_schema(text)
+    graph, lexicon = build_graph(schema), generate_lexicon(schema)
+    rng = random.Random(1)
+    compared = multi_table = mixed = nonempty = 0
+    for _ in range(40):
+        queries = []
+        for _ in range(60):
+            query = genqueries.render(genqueries.random_query(rng, schema))
+            try:
+                queries.append(resolve(parse(tokenize(query, lexicon)), schema, graph))
+            except ResolveError:
+                continue
+        literals = [
+            literal
+            for rq in queries if rq.predicate_refs is not None
+            for literal in fold_predicate(rq.predicate_refs, lambda c: [c.literal],
+                                          lambda node, left, right: left + right)
+            if not isinstance(literal, str)
+        ] or [0]
+        ds = Dataset({
+            t.name: TableData(tuple(t.column_names), tuple(
+                tuple(straddling_value(rng, c, literals) for c in t.columns)
+                for _ in range(rng.randint(0, 6))
+            ))
+            for t in schema.tables
+        })
+        db = sqlite_db(ds)
+        for rq in queries:
+            sql = generate_sql(rq).text
+            got = execute(rq, ds).rows
+            assert Counter(got) == Counter(db.execute(sql).fetchall()), sql
+            compared += 1
+            multi_table += len(rq.join_plan.tables) > 1
+            mixed += " AND " in sql and " OR " in sql
+            nonempty += bool(got)
+        db.close()
+    assert compared > 1500 and multi_table > 500 and mixed > 100 and nonempty > 300, (
+        compared, multi_table, mixed, nonempty)

@@ -155,3 +155,27 @@ def test_grammar_roundtrip_fuzz(bank_schema, bank_lexicon):
 def test_parse_deterministic(bank_lexicon):
     tokens = tokenize("get customer_name whose balance greater than 3000", bank_lexicon)
     assert parse(tokens) == parse(tokens)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "at token 0: expected a select verb (get/show/...), found end of query"),
+        ("get", "at token 1: expected a column name, found end of query"),
+        ("get customer_name and",
+         "at token 2: expected a where introducer (whose/where/...), found LOGICAL_AND('and')"),
+        ("get customer_name of", "at token 3: expected a table name, found end of query"),
+        ("get customer_name whose balance",
+         "at token 4: expected a comparator, found end of query"),
+        ("get customer_name whose balance greater than",
+         "at token 5: expected a number or quoted string, found end of query"),
+        ("get customer_name whose balance greater than 5 and",
+         "at token 7: expected a column name, found end of query"),
+        ("get customer_name whose balance greater than 5 balance",
+         "at token 6: expected end of query, found COLUMN('balance')"),
+    ],
+)
+def test_parse_error_messages(bank_lexicon, text, message):
+    with pytest.raises(QueryParseError) as exc:
+        parse_text(text, bank_lexicon)
+    assert str(exc.value) == message
