@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -11,6 +12,19 @@ from .parser import Connective, Predicate, fold_predicate, format_literal
 from .schema import join_path, tables_owning
 
 NUMERIC_OPS = (">", "<", ">=", "<=")
+
+# Keywords that sqlite will not take as a bare table or column name.
+# Names spelled as one of them, in any case, are double-quoted in SQL;
+# every other name is emitted as it is.
+SQL_KEYWORDS = frozenset("""
+    add all alter and as autoincrement between case cast check collate commit
+    constraint create current_date current_time current_timestamp default
+    deferrable delete distinct drop else escape except exists foreign from
+    group having in index insert intersect into is isnull join limit not
+    nothing notnull null on or order primary raise references returning
+    select set table then to transaction union unique update using values
+    when where
+""".split())
 
 
 @dataclass(frozen=True)
@@ -36,11 +50,22 @@ class SqlQuery:
 
 def extract_clauses(ir):
     """SELECT and WHERE clause strings with unqualified column names."""
-    select_clause = "SELECT " + ", ".join(ir.select_columns)
+    select_clause = "SELECT " + ", ".join(map(_quote, ir.select_columns))
     if ir.predicate is None:
         return select_clause, None
     where, _ = _render_predicate(ir.predicate, qualify=False)
     return select_clause, "WHERE " + where
+
+
+# cached because they run for every name of every query, and names repeat
+@functools.lru_cache(maxsize=1024)
+def _quote(name):
+    return f'"{name}"' if name.lower() in SQL_KEYWORDS else name
+
+
+@functools.lru_cache(maxsize=1024)
+def _qualified(table, column):
+    return f"{_quote(table)}.{_quote(column)}"
 
 
 def _render_predicate(pred, qualify):
@@ -51,7 +76,7 @@ def _render_predicate(pred, qualify):
     ops = set()
 
     def leaf(c):
-        lhs = f"{c.table}.{c.column}" if qualify else c.column
+        lhs = _qualified(c.table, c.column) if qualify else _quote(c.column)
         return deque([f"{lhs} {c.op} {format_literal(c.literal)}"]), None
 
     def join(node, left, right):  # joined once below, so linear in the text
@@ -118,10 +143,10 @@ def generate_sql(rq):
     multi = len(plan.tables) > 1
 
     def col_ref(table, column):
-        return f"{table}.{column}" if multi else column
+        return _qualified(table, column) if multi else _quote(column)
 
     select = "SELECT " + ", ".join(col_ref(t, c) for t, c in rq.select_refs)
-    from_clause = "FROM " + ", ".join(plan.tables)
+    from_clause = "FROM " + ", ".join(map(_quote, plan.tables))
 
     where_parts = []
     if rq.predicate_refs is not None:
@@ -130,7 +155,7 @@ def generate_sql(rq):
             user = f"({user})"
         where_parts.append(user)
     for lt, lc, rt, rc in plan.conditions:
-        where_parts.append(f"{lt}.{lc} = {rt}.{rc}")
+        where_parts.append(f"{_qualified(lt, lc)} = {_qualified(rt, rc)}")
 
     text = f"{select} {from_clause}"
     if where_parts:

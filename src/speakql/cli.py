@@ -154,6 +154,9 @@ def main(argv=None):
 
 
 def _run_repl(session, args):
+    # bytes that are not text reach the lexer as lone surrogates, as in argv
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")
     for line in sys.stdin:
         line = line.strip()
         if not line:

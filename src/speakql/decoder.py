@@ -27,8 +27,7 @@ import math
 from collections.abc import Hashable
 from dataclasses import dataclass
 
-import yaml
-
+from .config import load_yaml
 from .errors import DecodeError, ModelConfigError
 
 _SUM_TOL = 1e-9
@@ -92,10 +91,7 @@ def _names(value, where):
 
 def load_models(model_text):
     """Parse and validate a model-config document (YAML)."""
-    try:
-        doc = yaml.safe_load(model_text)
-    except (yaml.YAMLError, RecursionError) as exc:  # nesting too deep to compose
-        raise ModelConfigError(f"model config parse error: {exc}") from exc
+    doc = load_yaml(model_text, ModelConfigError, "model config")
     if not isinstance(doc, dict):
         raise ModelConfigError("model config must be a mapping")
     alphabet = doc.get("phoneme_alphabet")

@@ -101,10 +101,10 @@ def load_dataset(directory, schema):
                             f"values, got {len(row)}"
                         )
                     rows.append(
-                        tuple(
+                        tuple([
                             _parse_cell(raw, col, table.name, row_no)
                             for raw, col in zip(row, table.columns)
-                        )
+                        ])
                     )
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise DatasetError(f"cannot read {path}: {exc}") from exc

@@ -22,8 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import yaml
-
+from .config import load_yaml
 from .errors import DisconnectedSchemaError, SchemaConfigError
 
 VALUE_KINDS = ("text", "integer", "real")
@@ -124,10 +123,7 @@ class JoinPlan:
 
 def load_schema(config_text):
     """Parse and validate a schema-config document (YAML, strict keys)."""
-    try:
-        doc = yaml.safe_load(config_text)
-    except (yaml.YAMLError, RecursionError) as exc:  # nesting too deep to compose
-        raise SchemaConfigError(f"schema config parse error: {exc}") from exc
+    doc = load_yaml(config_text, SchemaConfigError, "schema config")
     if not isinstance(doc, dict):
         raise SchemaConfigError("schema config must be a mapping with a 'tables' key")
     _reject_unknown_keys(doc, {"tables"}, "top level")

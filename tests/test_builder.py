@@ -1,3 +1,6 @@
+import sqlite3
+from collections import Counter
+
 import pytest
 
 from speakql.builder import (
@@ -7,8 +10,10 @@ from speakql.builder import (
     resolve,
 )
 from speakql.errors import ResolveError
-from speakql.lexer import tokenize
+from speakql.executor import execute, load_dataset
+from speakql.lexer import generate_lexicon, tokenize
 from speakql.parser import Comparison, Connective, QueryIR, parse
+from speakql.schema import build_graph, load_schema
 
 GOLDEN_SQL = (
     "SELECT customer.customer_name FROM customer, depositor, account "
@@ -176,3 +181,46 @@ def test_end_to_end_determinism(bank_schema, bank_graph, bank_lexicon):
         return generate_sql(resolve(ir, bank_schema, bank_graph)).text
 
     assert len({run() for _ in range(5)}) == 1
+
+
+KEYWORD_SCHEMA = """
+tables:
+  - name: order
+    columns: [{name: from, type: integer}, {name: select, type: text}]
+  - name: unique
+    columns: [{name: select, type: text}, {name: limit, type: real}]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, sql",
+    [
+        (
+            "get select whose from greater than 3",
+            'SELECT "select" FROM "order" WHERE "from" > 3',
+        ),
+        (
+            "get from and limit whose from at most 3 or limit less than 2.5",
+            'SELECT "order"."from", "unique"."limit" FROM "order", "unique" '
+            'WHERE ("order"."from" <= 3 OR "unique"."limit" < 2.5) '
+            'AND "order"."select" = "unique"."select"',
+        ),
+        ("get limit of unique", 'SELECT "limit" FROM "unique"'),
+    ],
+)
+def test_sql_keywords_as_names_are_quoted(tmp_path, text, sql):
+    schema = load_schema(KEYWORD_SCHEMA)
+    (tmp_path / "order.csv").write_text("from,select\n1,a\n4,b\n5,a\n,c\n")
+    (tmp_path / "unique.csv").write_text("select,limit\na,1.5\na,3.0\nb,2.0\n,0.5\n")
+    ds = load_dataset(tmp_path, schema)
+    rq = resolve(parse(tokenize(text, generate_lexicon(schema))), schema, build_graph(schema))
+    assert generate_sql(rq).text == sql
+    db = sqlite3.connect(":memory:")
+    db.execute('CREATE TABLE "order" ("from" INTEGER, "select" TEXT)')
+    db.execute('CREATE TABLE "unique" ("select" TEXT, "limit" REAL)')
+    db.executemany('INSERT INTO "order" VALUES (?, ?)', ds.tables["order"].rows)
+    db.executemany('INSERT INTO "unique" VALUES (?, ?)', ds.tables["unique"].rows)
+    rows = db.execute(sql).fetchall()
+    db.close()
+    assert Counter(execute(rq, ds).rows) == Counter(rows)
+    assert rows

@@ -186,8 +186,21 @@ def test_repl(capsys, monkeypatch):
     assert "frobnicate" in err  # error reported, REPL continues
 
 
+def test_repl_line_not_utf8(capsys, monkeypatch):
+    # a strict decoder, as Python sets up outside the C/POSIX locale
+    raw = b"get \xff\n" + GOLDEN_QUERY.encode() + b"\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code, out, err = run(capsys, "--schema", SCHEMA, "--repl")
+    assert code == 0
+    assert out == GOLDEN_SQL + "\n"
+    assert err.startswith("speakql: unknown word") and len(err.splitlines()) == 1
+
+
 def _deep_list(depth):
     return "[" * depth + "]" * depth
+
+
+DEEP = 100_000
 
 
 # (file to spoil, how): each spoiled file must give a typed error, exit 3
@@ -199,6 +212,10 @@ MALFORMED_INPUTS = {
     "csv-field-too-long": ("data/customer.csv", lambda b: b + b"x" * 200_000 + b",Main,Rye\n"),
     "schema-deep-list": ("schema.yaml", lambda b: b"tables: " + _deep_list(1000).encode()),
     "models-deep-list": ("models.yaml", lambda b: b + b"extra: " + _deep_list(1000).encode()),
+    "schema-deep-flow-list": ("schema.yaml", lambda b: b"tables: " + _deep_list(DEEP).encode()),
+    "models-deep-flow-list": ("models.yaml", lambda b: b + b"extra: " + _deep_list(DEEP).encode()),
+    "schema-deep-block-list": ("schema.yaml", lambda b: b"- " * DEEP + b"x\n"),
+    "models-deep-block-list": ("models.yaml", lambda b: b + b"extra:\n" + b"- " * DEEP + b"x\n"),
 }
 
 
