@@ -14,31 +14,11 @@ import io
 import sys
 
 from . import builder, decoder, executor, lexer, parser, schema
-from .errors import (
-    DecodeError,
-    DisconnectedSchemaError,
-    LexError,
-    QueryParseError,
-    ResolveError,
-    SpeakqlError,
-)
+from .errors import SpeakqlError
 
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
-EXIT_TRANSLATE = 4
-EXIT_DECODE = 5
 EXIT_EXECUTE = 6
-
-# Exit code by error class. Any other error exits with the code of the
-# stage that raised it: EXIT_CONFIG while loading the session or reading
-# the phoneme file, EXIT_EXECUTE while emitting.
-EXIT_CODES = {
-    LexError: EXIT_TRANSLATE,
-    QueryParseError: EXIT_TRANSLATE,
-    ResolveError: EXIT_TRANSLATE,
-    DisconnectedSchemaError: EXIT_TRANSLATE,
-    DecodeError: EXIT_DECODE,
-}
 
 
 def build_arg_parser():
@@ -119,7 +99,9 @@ def _print_rows(result, fmt, out):
 
 
 def _fail(code, message):
-    print(f"speakql: {message}", file=sys.stderr)
+    """Report `message` as one stderr line and return `code`."""
+    lines = filter(None, (line.strip() for line in message.splitlines()))
+    print(f"speakql: {'; '.join(lines)}", file=sys.stderr)
     return code
 
 
@@ -149,7 +131,7 @@ def main(argv=None):
         for query_text in queries:
             session.emit(query_text, args, sys.stdout)
     except SpeakqlError as exc:
-        return _fail(EXIT_CODES.get(type(exc), stage_code), str(exc))
+        return _fail(exc.exit_code or stage_code, str(exc))
     return 0
 
 
@@ -164,7 +146,7 @@ def _run_repl(session, args):
         try:
             session.emit(line, args, sys.stdout)
         except SpeakqlError as exc:
-            print(f"speakql: {exc}", file=sys.stderr)
+            _fail(exc.exit_code or EXIT_EXECUTE, str(exc))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""YAML parsing for the schema and model configs.
+"""YAML parsing and the shape checks of the schema and model configs.
 
 Events come from libyaml's C parser when PyYAML is built with it; they
 are composed and constructed by PyYAML's own Python composer and safe
@@ -39,3 +39,18 @@ def load_yaml(text, error, what):
         return yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, RecursionError, ValueError, LookupError, AttributeError) as exc:
         raise error(f"{what} parse error: {exc}") from exc
+
+
+def section(value, kind, where, error, keys=None):
+    """`value` if it is a `kind` (dict or list), an empty one if absent.
+    Another type, or a mapping with a key outside `keys`, raises `error`."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        shape = "mapping" if kind is dict else "list"
+        raise error(f"{where} must be a {shape}, got {value!r}")
+    unknown = value.keys() - keys if keys is not None else ()
+    if unknown:
+        # keys of mixed types do not compare, so they are sorted as text
+        raise error(f"unknown field(s) {sorted(unknown, key=str)} at {where}")
+    return value

@@ -27,10 +27,16 @@ import math
 from collections.abc import Hashable
 from dataclasses import dataclass
 
-from .config import load_yaml
+from .config import load_yaml, section
 from .errors import DecodeError, ModelConfigError
 
 _SUM_TOL = 1e-9
+
+_MODEL_KEYS = {"phoneme_alphabet", "words", "grammar"}
+_WORD_KEYS = {"name", "states", "entry", "transitions", "exit"}
+_STATE_KEYS = {"phoneme", "emissions"}
+_GRAMMAR_KEYS = {"states", "start", "accepting", "arcs"}
+_ARC_KEYS = {"from", "word", "to"}
 
 NEG_INF = float("-inf")
 
@@ -65,49 +71,46 @@ class Decoding:
     state_path: tuple  # (word, state index) pairs
 
 
-def _check_prob(p, where):
-    if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
-        raise ModelConfigError(f"probability out of range at {where}: {p!r}")
-    return float(p)
-
-
-def _section(value, kind, where):
-    """`value` if it is a `kind` (dict or list), an empty one if absent."""
-    if value is None:
-        return kind()
-    if not isinstance(value, kind):
-        shape = "mapping" if kind is dict else "list"
-        raise ModelConfigError(f"{where} must be a {shape}, got {value!r}")
-    return value
+def _probs(pairs, where, sums_to_one=True):
+    """The (key, probability) `pairs` as a list, each probability a float
+    in [0, 1]. With `sums_to_one`, the probabilities, added left to right
+    from 0.0, must sum to 1 within `_SUM_TOL`."""
+    checked, total = [], 0.0
+    for key, p in pairs:
+        if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+            raise ModelConfigError(f"{where}: probability {p!r} of {key!r} out of range")
+        p = float(p)
+        checked.append((key, p))
+        total += p
+    if sums_to_one and abs(total - 1.0) > _SUM_TOL:
+        raise ModelConfigError(f"{where}: probabilities sum to {total}")
+    return checked
 
 
 def _names(value, where):
     """The state names listed in `value`, as a frozenset."""
-    names = _section(value, list, where)
+    names = section(value, list, where, ModelConfigError)
     if not all(isinstance(n, Hashable) for n in names):
         raise ModelConfigError(f"{where} must list state names, got {value!r}")
     return frozenset(names)
 
 
 def load_models(model_text):
-    """Parse and validate a model-config document (YAML)."""
+    """Parse and validate a model-config document (YAML, strict keys)."""
     doc = load_yaml(model_text, ModelConfigError, "model config")
-    if not isinstance(doc, dict):
-        raise ModelConfigError("model config must be a mapping")
-    alphabet = doc.get("phoneme_alphabet")
-    if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
-        raise ModelConfigError("'phoneme_alphabet' must be a list of symbols")
+    doc = section(doc, dict, "model config", ModelConfigError, _MODEL_KEYS)
+    alphabet = section(doc.get("phoneme_alphabet"), list, "'phoneme_alphabet'", ModelConfigError)
+    if not all(isinstance(s, str) for s in alphabet):
+        raise ModelConfigError("'phoneme_alphabet' must list symbols")
     alphabet = set(alphabet)
 
     hmms = []
-    for raw in _section(doc.get("words"), list, "'words'"):
+    for raw in section(doc.get("words"), list, "'words'", ModelConfigError):
         hmms.append(_load_word(raw, alphabet))
     if not hmms:
         raise ModelConfigError("'words' must declare at least one word model")
 
-    raw_fsa = doc.get("grammar")
-    if not isinstance(raw_fsa, dict):
-        raise ModelConfigError("'grammar' section missing")
+    raw_fsa = section(doc.get("grammar"), dict, "'grammar'", ModelConfigError, _GRAMMAR_KEYS)
     states = _names(raw_fsa.get("states"), "grammar 'states'")
     start = raw_fsa.get("start")
     accepting = _names(raw_fsa.get("accepting"), "grammar 'accepting'")
@@ -115,8 +118,8 @@ def load_models(model_text):
         raise ModelConfigError("grammar start/accepting states must be members of 'states'")
     known_words = {h.word for h in hmms}
     arcs = []
-    for arc in _section(raw_fsa.get("arcs"), list, "grammar 'arcs'"):
-        arc = _section(arc, dict, "a grammar arc")
+    for arc in section(raw_fsa.get("arcs"), list, "grammar 'arcs'", ModelConfigError):
+        arc = section(arc, dict, "a grammar arc", ModelConfigError, _ARC_KEYS)
         src, word, dst = arc.get("from"), arc.get("word"), arc.get("to")
         if not all(isinstance(v, Hashable) for v in (src, word, dst)):
             raise ModelConfigError(f"arc fields must be names: {arc!r}")
@@ -125,81 +128,61 @@ def load_models(model_text):
         if word not in known_words:
             raise ModelConfigError(f"arc references unknown word {word!r}")
         arcs.append((src, word, dst))
-    fsa = GrammarFsa(states, start, accepting, tuple(arcs))
-    return hmms, fsa
+    return hmms, GrammarFsa(states, start, accepting, tuple(arcs))
 
 
 def _load_word(raw, alphabet):
-    raw = _section(raw, dict, "a word model")
+    raw = section(raw, dict, "a word model", ModelConfigError, _WORD_KEYS)
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ModelConfigError(f"word model needs a 'name': {raw!r}")
-    raw_states = raw.get("states")
-    if not isinstance(raw_states, list) or not raw_states:
-        raise ModelConfigError(f"word {name!r}: 'states' must be a nonempty list")
+    word = f"word {name!r}"
+    raw_states = section(raw.get("states"), list, f"{word} 'states'", ModelConfigError)
+    if not raw_states:
+        raise ModelConfigError(f"{word}: 'states' must be nonempty")
 
     states = []
     for i, rs in enumerate(raw_states):
-        where = f"word {name!r} state {i}"
-        rs = _section(rs, dict, where)
-        emissions = {}
-        total = 0.0
-        for sym, p in _section(rs.get("emissions"), dict, f"{where} 'emissions'").items():
+        where = f"{word} state {i}"
+        rs = section(rs, dict, where, ModelConfigError, _STATE_KEYS)
+        raw_emissions = section(rs.get("emissions"), dict, f"{where} emissions", ModelConfigError)
+        for sym in raw_emissions:
             if sym not in alphabet:
                 raise ModelConfigError(f"{where}: emission symbol {sym!r} not in alphabet")
-            emissions[sym] = _check_prob(p, f"{where} emission {sym!r}")
-            total += emissions[sym]
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ModelConfigError(f"{where}: emission probabilities sum to {total}")
+        emissions = dict(_probs(raw_emissions.items(), f"{where} emissions"))
         states.append(PhonemeState(rs.get("phoneme", ""), emissions))
 
     n = len(states)
-
-    entry = []
-    total = 0.0
-    for idx, p in _section(raw.get("entry"), dict, f"word {name!r} 'entry'").items():
-        idx = _state_index(idx, n, name, "entry")
-        p = _check_prob(p, f"word {name!r} entry state {idx}")
-        entry.append((idx, p))
-        total += p
-    if abs(total - 1.0) > _SUM_TOL:
-        raise ModelConfigError(f"word {name!r}: entry probabilities sum to {total}")
-
-    exit_probs = {}
-    for idx, p in _section(raw.get("exit"), dict, f"word {name!r} 'exit'").items():
-        idx = _state_index(idx, n, name, "exit")
-        exit_probs[idx] = _check_prob(p, f"word {name!r} exit state {idx}")
-
+    entry = _probs(_indexed(raw.get("entry"), n, f"{word} entry"), f"{word} entry")
+    exit_probs = dict(_probs(_indexed(raw.get("exit"), n, f"{word} exit"), f"{word} exit", False))
     transitions = {}
-    for src, row in _section(raw.get("transitions"), dict, f"word {name!r} 'transitions'").items():
-        src = _state_index(src, n, name, "transitions")
-        out = []
-        for dst, p in _section(row, dict, f"word {name!r} transitions from {src}").items():
-            dst = _state_index(dst, n, name, f"transitions from {src}")
+    for src, row in _indexed(raw.get("transitions"), n, f"{word} transitions"):
+        where = f"{word} transitions from {src}"
+        out = _probs(_indexed(row, n, where), where, False)
+        for dst, _ in out:
             if dst < src:
-                raise ModelConfigError(
-                    f"word {name!r}: transition {src}->{dst} decreases the state index"
-                )
-            out.append((dst, _check_prob(p, f"word {name!r} transition {src}->{dst}")))
+                raise ModelConfigError(f"{where}: a move to {dst} decreases the state index")
         transitions[src] = tuple(out)
     for src in range(n):
-        total = sum(p for _, p in transitions.get(src, ())) + exit_probs.get(src, 0.0)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ModelConfigError(
-                f"word {name!r} state {src}: outgoing + exit mass sums to {total}"
-            )
+        mass = [*transitions.get(src, ()), ("exit", exit_probs.get(src, 0.0))]
+        _probs(mass, f"{word} state {src} outgoing + exit mass")
 
     return WordHmm(name, tuple(states), transitions, tuple(entry), exit_probs)
 
 
-def _state_index(value, n, word, where):
-    try:
-        idx = int(value)
-    except (TypeError, ValueError):
-        raise ModelConfigError(f"word {word!r} {where}: bad state index {value!r}")
-    if not 0 <= idx < n:
-        raise ModelConfigError(f"word {word!r} {where}: state index {idx} out of range")
-    return idx
+def _indexed(value, n, where):
+    """The (state index, value) pairs of the mapping `value`, whose keys
+    must be state indices below `n`: ints, or text that `int` reads."""
+    pairs = []
+    for key, v in section(value, dict, where, ModelConfigError).items():
+        try:
+            idx = int(key) if isinstance(key, str) else key
+        except ValueError:
+            idx = None
+        if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < n:
+            raise ModelConfigError(f"{where}: bad state index {key!r}")
+        pairs.append((idx, v))
+    return pairs
 
 
 class _WordPass:

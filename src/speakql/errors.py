@@ -2,7 +2,10 @@
 
 
 class SpeakqlError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. `exit_code` is the
+    CLI's exit status for the error; None leaves it to the failing stage."""
+
+    exit_code = None
 
 
 class SchemaConfigError(SpeakqlError):
@@ -11,6 +14,8 @@ class SchemaConfigError(SpeakqlError):
 
 class DisconnectedSchemaError(SpeakqlError):
     """No join path exists between two required tables."""
+
+    exit_code = 4
 
     def __init__(self, table_a, table_b):
         self.table_a = table_a
@@ -22,6 +27,8 @@ class DisconnectedSchemaError(SpeakqlError):
 
 class LexError(SpeakqlError):
     """A word of the query could not be mapped to any token."""
+
+    exit_code = 4
 
     def __init__(self, word, position):
         self.word = word
@@ -36,6 +43,8 @@ class LexiconCollisionError(SpeakqlError):
 class QueryParseError(SpeakqlError):
     """Token stream does not conform to the query grammar."""
 
+    exit_code = 4
+
     def __init__(self, position, expected, found):
         self.position = position
         self.expected = expected
@@ -46,6 +55,8 @@ class QueryParseError(SpeakqlError):
 class ResolveError(SpeakqlError):
     """Column resolution or semantic check failed."""
 
+    exit_code = 4
+
 
 class ModelConfigError(SpeakqlError):
     """Malformed or inconsistent acoustic/grammar model document."""
@@ -53,6 +64,8 @@ class ModelConfigError(SpeakqlError):
 
 class DecodeError(SpeakqlError):
     """No accepting decoding with positive probability exists."""
+
+    exit_code = 5
 
 
 class DatasetError(SpeakqlError):

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .config import load_yaml
+from .config import load_yaml, section
 from .errors import DisconnectedSchemaError, SchemaConfigError
 
 VALUE_KINDS = ("text", "integer", "real")
@@ -124,45 +124,30 @@ class JoinPlan:
 def load_schema(config_text):
     """Parse and validate a schema-config document (YAML, strict keys)."""
     doc = load_yaml(config_text, SchemaConfigError, "schema config")
-    if not isinstance(doc, dict):
-        raise SchemaConfigError("schema config must be a mapping with a 'tables' key")
-    _reject_unknown_keys(doc, {"tables"}, "top level")
-    raw_tables = doc.get("tables")
-    if not isinstance(raw_tables, list) or not raw_tables:
-        raise SchemaConfigError("'tables' must be a nonempty list")
+    doc = section(doc, dict, "schema config", SchemaConfigError, {"tables"})
+    raw_tables = section(doc.get("tables"), list, "'tables'", SchemaConfigError)
+    if not raw_tables:
+        raise SchemaConfigError("'tables' must be nonempty")
 
     tables = []
     for entry in raw_tables:
-        if not isinstance(entry, dict):
-            raise SchemaConfigError(f"table entry must be a mapping, got {entry!r}")
-        _reject_unknown_keys(entry, {"name", "kind", "columns"}, "table entry")
+        entry = section(entry, dict, "table entry", SchemaConfigError, {"name", "kind", "columns"})
         name = entry.get("name")
         if not isinstance(name, str):
             raise SchemaConfigError(f"table name must be a string, got {name!r}")
         kind = entry.get("kind", "entity")
-        raw_cols = entry.get("columns")
-        if not isinstance(raw_cols, list) or not raw_cols:
-            raise SchemaConfigError(f"table {name!r}: 'columns' must be a nonempty list")
+        where = f"table {name!r}"
+        raw_cols = section(entry.get("columns"), list, f"{where} 'columns'", SchemaConfigError)
         columns = []
         for col in raw_cols:
-            if not isinstance(col, dict):
-                raise SchemaConfigError(f"table {name!r}: column must be a mapping")
-            _reject_unknown_keys(col, {"name", "type"}, f"column of table {name!r}")
+            col = section(col, dict, f"column of {where}", SchemaConfigError, {"name", "type"})
             cname = col.get("name")
             ctype = col.get("type")
             if not isinstance(cname, str) or not isinstance(ctype, str):
-                raise SchemaConfigError(
-                    f"table {name!r}: column needs string 'name' and 'type'"
-                )
+                raise SchemaConfigError(f"{where}: column needs string 'name' and 'type'")
             columns.append(Column(cname, ctype))
         tables.append(Table(name, kind, tuple(columns)))
     return Schema(tuple(tables))
-
-
-def _reject_unknown_keys(mapping, allowed, where):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise SchemaConfigError(f"unknown field(s) {sorted(unknown)} at {where}")
 
 
 def build_graph(schema):

@@ -216,6 +216,8 @@ MALFORMED_INPUTS = {
     "models-deep-flow-list": ("models.yaml", lambda b: b + b"extra: " + _deep_list(DEEP).encode()),
     "schema-deep-block-list": ("schema.yaml", lambda b: b"- " * DEEP + b"x\n"),
     "models-deep-block-list": ("models.yaml", lambda b: b + b"extra:\n" + b"- " * DEEP + b"x\n"),
+    "schema-unclosed-flow": ("schema.yaml", lambda b: b"tables: [\n"),
+    "models-unclosed-flow": ("models.yaml", lambda b: b"words: [\n"),
 }
 
 

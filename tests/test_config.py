@@ -1,5 +1,7 @@
-"""`load_yaml`, the one YAML entry point of the schema and model loaders."""
+"""`load_yaml` and `section`, the YAML entry point and the shape check of
+the schema and model loaders."""
 
+import copy
 import random
 import time
 
@@ -15,6 +17,7 @@ from speakql.schema import load_schema
 from conftest import FIXTURES
 
 DOCUMENTS = 200
+SPOILED_CONFIGS = 250  # per fixture config
 
 # scalars whose type PyYAML's resolver infers from the text
 ODD_SCALARS = ["yes", "No", "~", "null", "0x1F", "0o17", "1e3", "-.inf", "2001-12-14",
@@ -128,3 +131,57 @@ def test_deep_nesting_rejected_quickly():
     with pytest.raises(SchemaConfigError, match="parse error"):
         load_schema("tables: " + "[" * depth + "]" * depth)
     assert time.perf_counter() - start < 0.5
+
+
+# `yaml.safe_dump`, with libyaml's emitter where PyYAML has it (about 4x faster)
+SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+# values put in place of a node; only the hashable ones can replace a key
+ODD_KEYS = [None, True, -1, 0.7, float("inf"), float("nan"), 10**30, "", "unknown_name"]
+ODD_NODES = ODD_KEYS + [[], {}, {1: "x", "b": "y"}]
+
+
+def _positions(doc):
+    """A list holding `doc`, and every (container, key or index) under it."""
+    holder = [doc]
+    positions, stack = [], [holder]
+    while stack:
+        node = stack.pop()
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            positions.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    return holder, positions
+
+
+def _spoil(rng, doc):
+    """A copy of `doc` with one or two nodes, or mapping keys, replaced by odd values."""
+    holder, positions = _positions(copy.deepcopy(doc))
+    for container, key in rng.sample(positions, rng.randint(1, 2)):
+        if isinstance(container, dict) and key in container and rng.random() < 0.5:
+            container[rng.choice(ODD_KEYS)] = container.pop(key)
+        else:
+            container[key] = copy.deepcopy(rng.choice(ODD_NODES))
+    return holder[0]
+
+
+@pytest.mark.parametrize(
+    "name, load, error, reached",
+    [
+        # keys of mixed types used to fail to sort into the message
+        ("schema.yaml", load_schema, SchemaConfigError, "unknown field(s) [1, 'b']"),
+        # a state index of .inf used to overflow in int()
+        ("models.yaml", load_models, ModelConfigError, "bad state index inf"),
+    ],
+)
+def test_spoiled_fixture_configs_load_or_raise_config_error(name, load, error, reached):
+    doc = yaml.safe_load((FIXTURES / name).read_text(encoding="utf-8"))
+    rng = random.Random(4)
+    messages = []
+    for _ in range(SPOILED_CONFIGS):
+        text = yaml.dump(_spoil(rng, doc), Dumper=SAFE_DUMPER, sort_keys=False)
+        try:
+            load(text)
+        except error as exc:
+            messages.append(str(exc))
+    assert any(reached in m for m in messages)

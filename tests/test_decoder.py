@@ -128,6 +128,15 @@ grammar: {states: [q], start: q, accepting: [q], arcs: [{from: q, word: w, to: q
         ("arcs: [{from: q, word: w, to: q}]", "arcs: [q]"),
         ("{from: q, word: w, to: q}", "{from: [q], word: w, to: q}"),
         ("{from: q, word: w, to: q}", "{from: q, word: {w: 1}, to: q}"),
+        ("entry: {0: 1.0}", "entry: {.inf: 1.0}"),
+        ("entry: {0: 1.0}", "entry: {.nan: 1.0}"),
+        ("entry: {0: 1.0}", "entry: {0.7: 1.0}"),
+        ("entry: {0: 1.0}", "entry: {true: 1.0}"),
+        ("phoneme_alphabet: [a]\n", "phoneme_alphabet: [a]\nphoneme_alpabet: [a]\n"),
+        ("transitions: {0: {}}", "transitons: {0: {}}"),
+        ("{phoneme: a, emissions", "{phonme: a, emissions"),
+        ("accepting: [q]", "acepting: [q]"),
+        ("{from: q, word: w, to: q}", "{from: q, word: w, to: q, weight: 1}"),
     ],
     ids=[
         "word-not-mapping", "words-not-list", "state-not-mapping",
@@ -136,6 +145,9 @@ grammar: {states: [q], start: q, accepting: [q], arcs: [{from: q, word: w, to: q
         "grammar-states-not-list", "grammar-state-not-name", "start-not-name",
         "accepting-not-list", "arcs-not-list", "arc-not-mapping",
         "arc-state-not-name", "arc-word-not-name",
+        "state-index-inf", "state-index-nan", "state-index-float", "state-index-bool",
+        "top-level-unknown-key", "word-unknown-key", "state-unknown-key",
+        "grammar-unknown-key", "arc-unknown-key",
     ],
 )
 def test_malformed_model_shape(old, new):

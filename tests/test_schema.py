@@ -66,6 +66,10 @@ def test_minimal_schema():
          "unknown field"),
         ("tables:\n  - name: 9t\n    columns: [{name: a, type: text}]\n",
          "invalid table name"),
+        ("1: x\nb: y\ntables:\n  - name: t\n    columns: [{name: a, type: text}]\n",
+         "unknown field"),
+        ("tables:\n  - name: t\n    columns: [{name: a, type: text, 2: z, c: w}]\n",
+         "unknown field"),
         ("tables: []\n", "nonempty"),
         ("tables: [\n", "parse error"),
     ],
