@@ -23,40 +23,4 @@ from .schema import (
     tables_owning,
 )
 
-__all__ = [
-    "Comparison",
-    "Connective",
-    "Dataset",
-    "Decoding",
-    "GrammarFsa",
-    "JoinPlan",
-    "Lexicon",
-    "QueryIR",
-    "ResolvedQuery",
-    "ResultSet",
-    "Schema",
-    "SchemaGraph",
-    "SpeakqlError",
-    "SqlQuery",
-    "Token",
-    "TokenKind",
-    "WordHmm",
-    "build_graph",
-    "decode_sentence",
-    "execute",
-    "extract_clauses",
-    "generate_lexicon",
-    "generate_sql",
-    "ir_to_text",
-    "join_path",
-    "load_dataset",
-    "load_models",
-    "load_schema",
-    "parse",
-    "resolve",
-    "tables_owning",
-    "tokenize",
-    "viterbi_word",
-]
-
 __version__ = "0.1.0"

@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 2 usage, 3 configuration/file, 4 translation
 (lex/parse/resolve, including tables with no join path), 5 decode,
-6 execution. Only the emitted artifact goes to stdout; diagnostics go
-to stderr.
+6 execution or output that cannot be written. Only the emitted
+artifact goes to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import os
 import sys
 
 from . import builder, decoder, executor, lexer, parser, schema
@@ -52,21 +54,15 @@ class _Session:
         if args.models:
             self.models = decoder.load_models(_read(args.models))
 
-    def translate(self, query_text):
-        tokens = lexer.tokenize(query_text, self.lexicon)
-        return parser.parse(tokens)
-
-    def emit(self, query_text, args, out):
-        ir = self.translate(query_text)
+    def emit(self, query_text, args):
+        """The artifact `args.emit` asks for, as the text to print."""
+        ir = parser.parse(lexer.tokenize(query_text, self.lexicon))
         if args.emit == "ir":
-            print(parser.ir_to_text(ir), file=out)
-            return
+            return parser.ir_to_text(ir) + "\n"
         rq = builder.resolve(ir, self.schema, self.graph)
         if args.emit == "sql":
-            print(builder.generate_sql(rq).text, file=out)
-            return
-        result = executor.execute(rq, self.dataset)
-        _print_rows(result, args.format, out)
+            return builder.generate_sql(rq).text + "\n"
+        return _format_rows(executor.execute(rq, self.dataset), args.format)
 
     def decode(self, symbols):
         hmms, fsa = self.models
@@ -82,20 +78,22 @@ def _read(path):
         raise SpeakqlError(f"cannot read {path}: {exc}") from exc
 
 
-def _print_rows(result, fmt, out):
+def _format_rows(result, fmt):
     headers = [f"{t}.{c}" for t, c in result.columns]
     rendered = [["" if v is None else str(v) for v in row] for row in result.rows]
+    out = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(headers)
         writer.writerows(rendered)
-        return
+        return out.getvalue()
     widths = [len(h) for h in headers]
     for row in rendered:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
     print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(), file=out)
     for row in rendered:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip(), file=out)
+    return out.getvalue()
 
 
 def _fail(code, message):
@@ -120,33 +118,33 @@ def main(argv=None):
     stage_code = EXIT_CONFIG
     try:
         session = _Session(args)
-        if args.repl:
-            return _run_repl(session, args)
         if args.query:
             queries = [args.query]
-        else:
+        elif args.phonemes:
             lines = _read(args.phonemes).splitlines()
             queries = [session.decode(line.split()) for line in lines if line.strip()]
+        else:
+            # bytes that are not text reach the lexer as lone surrogates, as in argv
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(errors="surrogateescape")
+            queries = filter(None, (line.strip() for line in sys.stdin))
         stage_code = EXIT_EXECUTE
         for query_text in queries:
-            session.emit(query_text, args, sys.stdout)
+            try:
+                # flushed per query, so that a closed pipe fails in this try
+                print(session.emit(query_text, args), end="", flush=True)
+            except (OSError, UnicodeEncodeError) as exc:
+                # stdout's unflushed bytes would fail again in the
+                # interpreter's last flush, so they go nowhere
+                with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+                raise SpeakqlError(f"cannot write output: {exc}") from exc
+            except SpeakqlError as exc:
+                if not args.repl:
+                    raise
+                _fail(exc.exit_code or stage_code, str(exc))
     except SpeakqlError as exc:
         return _fail(exc.exit_code or stage_code, str(exc))
-    return 0
-
-
-def _run_repl(session, args):
-    # bytes that are not text reach the lexer as lone surrogates, as in argv
-    if hasattr(sys.stdin, "reconfigure"):
-        sys.stdin.reconfigure(errors="surrogateescape")
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            session.emit(line, args, sys.stdout)
-        except SpeakqlError as exc:
-            _fail(exc.exit_code or EXIT_EXECUTE, str(exc))
     return 0
 
 

@@ -11,7 +11,8 @@ position that some grammar state has reached, it runs one Viterbi pass
 per word on the arcs leaving those states, shared by every such arc, and
 ends the pass at the frame where no state of the word survives. The cost
 is linear in the frames times the span a word survives; a model whose
-words never die decodes in time quadratic in the frames. `viterbi_word` reads one span of the same pass.
+words never die decodes in time quadratic in the frames. `viterbi_word`
+reads one span of the same pass.
 
 Tie contract: every score is the float sum the exhaustive enumeration
 computes, in the same order, and two decodings tie when those sums are

@@ -1,9 +1,12 @@
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import speakql
 from speakql.cli import main
 
 from conftest import FIXTURES
@@ -152,6 +155,19 @@ def test_decode_error(capsys, tmp_path):
     assert err
 
 
+def test_phonemes_all_decoded_before_output(capsys, tmp_path):
+    # the second line fails to decode, so the first line's SQL must not
+    # be printed either
+    phonemes = tmp_path / "phonemes.txt"
+    phonemes.write_text(Path(PHONEMES).read_text(encoding="utf-8") + "g eh t\n")
+    code, out, err = run(
+        capsys, "--schema", SCHEMA, "--models", MODELS, "--phonemes", str(phonemes)
+    )
+    assert code == 5
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_malformed_models_config_error(capsys, tmp_path):
     models = tmp_path / "models.yaml"
     text = Path(MODELS).read_text(encoding="utf-8")
@@ -194,6 +210,50 @@ def test_repl_line_not_utf8(capsys, monkeypatch):
     assert code == 0
     assert out == GOLDEN_SQL + "\n"
     assert err.startswith("speakql: unknown word") and len(err.splitlines()) == 1
+
+
+ZURICH_QUERY = "get customer_name whose customer_city equals 'Z\u00fcrich'"
+
+
+@pytest.mark.parametrize("mode", ["--query", "--repl"])
+def test_stdout_cannot_encode(capsys, monkeypatch, mode):
+    # a strict ASCII stdout, as PYTHONIOENCODING=ascii sets up
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr("sys.stdout", stdout)
+    lines = f"{GOLDEN_QUERY}\n{ZURICH_QUERY}\n{GOLDEN_QUERY}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    argv = ["--query", ZURICH_QUERY] if mode == "--query" else ["--repl"]
+    code = main(["--schema", SCHEMA, *argv])
+    err = capsys.readouterr().err
+    assert code == 6
+    assert err.startswith("speakql: cannot write output") and len(err.splitlines()) == 1
+    # the REPL wrote the first query's SQL and stopped at the second
+    expected = b"" if mode == "--query" else GOLDEN_SQL.encode() + b"\n"
+    assert stdout.buffer.getvalue() == expected
+
+
+def test_closed_stdout_pipe(tmp_path):
+    # far more output than a pipe buffer holds, so a write after the
+    # reader has gone fails
+    queries = tmp_path / "queries.txt"
+    queries.write_text("get customer_name and balance\n" * 20_000)
+    path = [str(Path(speakql.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    # a buffered stdout, as by default, still holds bytes for the closed
+    # pipe when the interpreter makes its last flush
+    env.pop("PYTHONUNBUFFERED", None)
+    cmd = [sys.executable, "-m", "speakql.cli", "--schema", SCHEMA, "--repl"]
+    with queries.open("rb") as stdin, subprocess.Popen(
+        cmd, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"SELECT ")
+    assert code == 6
+    assert "Traceback" not in err
+    assert err.startswith("speakql: cannot write output") and len(err.splitlines()) == 1
 
 
 def _deep_list(depth):
