@@ -4,16 +4,17 @@ Semantics: the Cartesian product of the plan tables, filtered by the
 join conditions and the user predicate and projected to the select
 list. Any comparison involving null is false, so null never joins. Rows
 come out in the lexicographic order of source-row indices, tables taken
-in schema declaration order.
+in the plan's order, which is the FROM order of the emitted SQL.
 
 The product is never enumerated. Each top-level AND conjunct of the
 predicate that reads one table filters that table's rows first. Each
-later table in declaration order is then hash-joined to the combinations
-so far on the tuple of its columns that join conditions link to placed
-tables; rows with a null there are left out, and a table with no link
-has the empty key, so its one bucket crosses it. Each step keeps rows in
-source order, so no sort is needed. The remaining conjuncts, ORs that
-span tables, filter the joined combinations.
+later table in plan order is then hash-joined to the combinations so far
+on the tuple of its columns that join conditions link to placed tables;
+rows with a null there are left out, and a table with no link has the
+empty key, so its one bucket crosses it. In a `join_path` plan every
+later table links to one already placed, so no table is crossed. Each
+step keeps rows in source order, so no sort is needed. The remaining
+conjuncts, ORs that span tables, filter the joined combinations.
 """
 
 from __future__ import annotations
@@ -55,23 +56,14 @@ class ResultSet:
     rows: tuple
 
 
-def _parse_cell(raw, column, table_name, row_no):
-    if raw == "":
-        return None
-    if column.value_kind == "text":
-        return raw
-    try:
-        if column.value_kind == "integer":
-            return int(raw)
-        value = float(raw)
-        if math.isfinite(value):  # nan would not even equal itself
-            return value
-    except ValueError:
-        pass
-    raise DatasetError(
-        f"{table_name}.csv row {row_no}, column {column.name!r}: "
-        f"cannot parse {raw!r} as {column.value_kind}"
-    )
+def _finite(raw):
+    value = float(raw)
+    if math.isfinite(value):  # nan would not even equal itself
+        return value
+    raise ValueError(raw)
+
+
+_PARSERS = {"text": str, "integer": int, "real": _finite}
 
 
 def load_dataset(directory, schema):
@@ -93,6 +85,7 @@ def load_dataset(directory, schema):
                         f"{path}: header {header} does not match schema columns "
                         f"{table.column_names}"
                     )
+                parsers = [_PARSERS[col.value_kind] for col in table.columns]
                 rows = []
                 for row_no, row in enumerate(reader, start=2):
                     if len(row) != len(table.columns):
@@ -100,14 +93,18 @@ def load_dataset(directory, schema):
                             f"{path} row {row_no}: expected {len(table.columns)} "
                             f"values, got {len(row)}"
                         )
-                    rows.append(
-                        tuple([
-                            _parse_cell(raw, col, table.name, row_no)
-                            for raw, col in zip(row, table.columns)
-                        ])
-                    )
+                    rows.append(tuple([p(raw) if raw else None for p, raw in zip(parsers, row)]))
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise DatasetError(f"cannot read {path}: {exc}") from exc
+        except ValueError:  # raised only by a cell parser: name the first cell that fails
+            for col, parse, raw in zip(table.columns, parsers, row):
+                try:
+                    raw and parse(raw)  # empty cells are null
+                except ValueError:
+                    raise DatasetError(
+                        f"{table.name}.csv row {row_no}, column {col.name!r}: "
+                        f"cannot parse {raw!r} as {col.value_kind}"
+                    ) from None
         tables[table.name] = TableData(tuple(header), tuple(rows))
     return Dataset(tables)
 
@@ -157,14 +154,13 @@ def execute(rq, ds):
     for name in plan.tables:
         if name not in ds.tables:
             raise DatasetError(f"table {name!r} not present in dataset")
-    order = [t for t in ds.tables if t in plan.tables]
     # case-insensitive, as in SQL: tables may spell a shared column differently
-    positions = {t: {c.lower(): i for i, c in enumerate(ds.tables[t].header)} for t in order}
+    positions = {t: {c.lower(): i for i, c in enumerate(ds.tables[t].header)} for t in plan.tables}
 
     def column(table, name):
         return positions[table][name.lower()]
 
-    rows = {t: ds.tables[t].rows for t in order}
+    rows = {t: ds.tables[t].rows for t in plan.tables}
     residual = []
     for conjunct, tables in _conjuncts(rq.predicate_refs):
         if len(tables) == 1:
@@ -174,7 +170,7 @@ def execute(rq, ds):
             residual.append(conjunct)
 
     # a combination concatenates its rows, table t's starting at offset[t]
-    first, *rest = order
+    first, *rest = plan.tables
     combos, offset, width = rows[first], {first: 0}, len(ds.tables[first].header)
     for t in rest:
         links = [

@@ -204,7 +204,7 @@ def best_sentence(observations, hmms, fsa):
 
 def reference_execute(rq, ds):
     """Literal nested-loop evaluation, independent of executor.execute."""
-    order = [t for t in ds.tables if t in rq.join_plan.tables]
+    order = rq.join_plan.tables
     rows_out = []
     for combo in product(*(range(len(ds.tables[t].rows)) for t in order)):
         env = {}
