@@ -7,7 +7,7 @@ inference over the shared-column schema graph, SQL rendering, and an
 optional CSV-backed executor.
 """
 
-from .builder import ResolvedQuery, SqlQuery, extract_clauses, generate_sql, resolve
+from .builder import ResolvedQuery, SqlQuery, generate_sql, resolve
 from .decoder import Decoding, GrammarFsa, WordHmm, decode_sentence, load_models, viterbi_word
 from .errors import SpeakqlError
 from .executor import Dataset, ResultSet, execute, load_dataset

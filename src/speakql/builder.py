@@ -1,4 +1,4 @@
-"""Clause extraction, table resolution, join planning, and SQL rendering."""
+"""Table resolution, join planning, and SQL rendering."""
 
 from __future__ import annotations
 
@@ -48,15 +48,6 @@ class SqlQuery:
     tables: tuple[str, ...]
 
 
-def extract_clauses(ir):
-    """SELECT and WHERE clause strings with unqualified column names."""
-    select_clause = "SELECT " + ", ".join(map(_quote, ir.select_columns))
-    if ir.predicate is None:
-        return select_clause, None
-    where, _ = _render_predicate(ir.predicate, qualify=False)
-    return select_clause, "WHERE " + where
-
-
 # cached because they run for every name of every query, and names repeat
 @functools.lru_cache(maxsize=1024)
 def _quote(name):
@@ -68,16 +59,16 @@ def _qualified(table, column):
     return f"{_quote(table)}.{_quote(column)}"
 
 
-def _render_predicate(pred, qualify):
-    """SQL text of a predicate, and whether it has an OR connective.
+def _render_predicate(pred, col_ref):
+    """SQL text of a predicate, its columns written by `col_ref`, and
+    whether it has an OR connective.
 
     SQL binds AND tighter than OR, so a child connective of the other
     kind is parenthesised to keep the IR's grouping."""
     ops = set()
 
     def leaf(c):
-        lhs = _qualified(c.table, c.column) if qualify else _quote(c.column)
-        return deque([f"{lhs} {c.op} {format_literal(c.literal)}"]), None
+        return deque([f"{col_ref(c.table, c.column)} {c.op} {format_literal(c.literal)}"]), None
 
     def join(node, left, right):  # joined once below, so linear in the text
         ops.add(node.op)
@@ -140,17 +131,14 @@ def generate_sql(rq):
     """Deterministic single-line SQL: user predicate conjuncts first, join
     conditions appended with AND; columns qualified only for multi-table plans."""
     plan = rq.join_plan
-    multi = len(plan.tables) > 1
-
-    def col_ref(table, column):
-        return _qualified(table, column) if multi else _quote(column)
+    col_ref = _qualified if len(plan.tables) > 1 else lambda table, column: _quote(column)
 
     select = "SELECT " + ", ".join(col_ref(t, c) for t, c in rq.select_refs)
     from_clause = "FROM " + ", ".join(map(_quote, plan.tables))
 
     where_parts = []
     if rq.predicate_refs is not None:
-        user, has_or = _render_predicate(rq.predicate_refs, qualify=multi)
+        user, has_or = _render_predicate(rq.predicate_refs, col_ref)
         if has_or and plan.conditions:
             user = f"({user})"
         where_parts.append(user)

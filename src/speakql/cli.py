@@ -40,36 +40,6 @@ def build_arg_parser():
     return ap
 
 
-class _Session:
-    """Loaded schema/lexicon/graph plus optional dataset and models."""
-
-    def __init__(self, args):
-        self.schema = schema.load_schema(_read(args.schema))
-        self.graph = schema.build_graph(self.schema)
-        self.lexicon = lexer.generate_lexicon(self.schema)
-        self.dataset = None
-        if args.data:
-            self.dataset = executor.load_dataset(args.data, self.schema)
-        self.models = None
-        if args.models:
-            self.models = decoder.load_models(_read(args.models))
-
-    def emit(self, query_text, args):
-        """The artifact `args.emit` asks for, as the text to print."""
-        ir = parser.parse(lexer.tokenize(query_text, self.lexicon))
-        if args.emit == "ir":
-            return parser.ir_to_text(ir) + "\n"
-        rq = builder.resolve(ir, self.schema, self.graph)
-        if args.emit == "sql":
-            return builder.generate_sql(rq).text + "\n"
-        return _format_rows(executor.execute(rq, self.dataset), args.format)
-
-    def decode(self, symbols):
-        hmms, fsa = self.models
-        decoding = decoder.decode_sentence(symbols, hmms, fsa)
-        return " ".join(decoding.words)
-
-
 def _read(path):
     try:
         with io.open(path, "r", encoding="utf-8") as fh:
@@ -97,9 +67,11 @@ def _format_rows(result, fmt):
 
 
 def _fail(code, message):
-    """Report `message` as one stderr line and return `code`."""
+    """Report `message` as one stderr line, if stderr takes it, and return `code`."""
     lines = filter(None, (line.strip() for line in message.splitlines()))
-    print(f"speakql: {'; '.join(lines)}", file=sys.stderr)
+    if sys.stderr is not None:  # None would send the line to stdout
+        with contextlib.suppress(OSError):
+            print(f"speakql: {'; '.join(lines)}", file=sys.stderr)
     return code
 
 
@@ -117,13 +89,20 @@ def main(argv=None):
 
     stage_code = EXIT_CONFIG
     try:
-        session = _Session(args)
+        sch = schema.load_schema(_read(args.schema))
+        graph = schema.build_graph(sch)
+        lexicon = lexer.generate_lexicon(sch)
+        dataset = executor.load_dataset(args.data, sch) if args.data else None
+        models = decoder.load_models(_read(args.models)) if args.models else None
         if args.query:
             queries = [args.query]
         elif args.phonemes:
-            lines = _read(args.phonemes).splitlines()
-            queries = [session.decode(line.split()) for line in lines if line.strip()]
+            symbol_lines = [line.split() for line in _read(args.phonemes).splitlines()]
+            decoded = [decoder.decode_sentence(s, *models) for s in symbol_lines if s]
+            queries = [" ".join(d.words) for d in decoded]
         else:
+            if sys.stdin is None:
+                raise SpeakqlError("cannot read queries: there is no stdin")
             # bytes that are not text reach the lexer as lone surrogates, as in argv
             if hasattr(sys.stdin, "reconfigure"):
                 sys.stdin.reconfigure(errors="surrogateescape")
@@ -131,8 +110,17 @@ def main(argv=None):
         stage_code = EXIT_EXECUTE
         for query_text in queries:
             try:
+                ir = parser.parse(lexer.tokenize(query_text, lexicon))
+                if args.emit == "ir":
+                    out = parser.ir_to_text(ir) + "\n"
+                else:
+                    rq = builder.resolve(ir, sch, graph)
+                    if args.emit == "sql":
+                        out = builder.generate_sql(rq).text + "\n"
+                    else:
+                        out = _format_rows(executor.execute(rq, dataset), args.format)
                 # flushed per query, so that a closed pipe fails in this try
-                print(session.emit(query_text, args), end="", flush=True)
+                print(out, end="", flush=True)
             except (OSError, UnicodeEncodeError) as exc:
                 # stdout's unflushed bytes would fail again in the
                 # interpreter's last flush, so they go nowhere

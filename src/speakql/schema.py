@@ -208,20 +208,18 @@ def join_path(graph, required):
     if not order:
         raise ValueError("required table set is empty")
 
-    tables = [order[0]]
-    selected = {order[0]}
+    selected = dict.fromkeys(order[:1])  # a set kept in selection order
     conditions = []
     for target in order[1:]:
         if target in selected:
             continue
         path = _attach(graph.adjacency, selected, target)
         if path is None:
-            raise DisconnectedSchemaError(tables[0], target)
+            raise DisconnectedSchemaError(order[0], target)
         # only path[0] was selected before, so every edge on it is new
-        tables += path[1:]
-        selected.update(path[1:])
+        selected.update(dict.fromkeys(path[1:]))
         for left, right in zip(path, path[1:]):
             for col in sorted(graph.shared_columns(left, right)):
                 conditions.append((left, col, right, col))
 
-    return JoinPlan(tuple(tables), tuple(conditions))
+    return JoinPlan(tuple(selected), tuple(conditions))

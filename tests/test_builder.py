@@ -1,19 +1,23 @@
+import os
+import random
 import sqlite3
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from speakql.builder import (
-    BoundComparison,
-    extract_clauses,
-    generate_sql,
-    resolve,
-)
-from speakql.errors import ResolveError
+import speakql
+from speakql.builder import BoundComparison, generate_sql, resolve
+from speakql.errors import ResolveError, SpeakqlError
 from speakql.executor import execute, load_dataset
 from speakql.lexer import generate_lexicon, tokenize
-from speakql.parser import Comparison, Connective, QueryIR, parse
+from speakql.parser import Comparison, QueryIR, ir_to_text, parse
 from speakql.schema import build_graph, load_schema
+
+import genqueries
+from conftest import FIXTURES
 
 GOLDEN_SQL = (
     "SELECT customer.customer_name FROM customer, depositor, account "
@@ -25,25 +29,6 @@ GOLDEN_SQL = (
 
 def ir_of(text, lexicon):
     return parse(tokenize(text, lexicon))
-
-
-def test_extract_clauses_bank_example(bank_lexicon):
-    ir = ir_of("get customer_name whose balance greater than 3000", bank_lexicon)
-    assert extract_clauses(ir) == ("SELECT customer_name", "WHERE balance > 3000")
-
-
-def test_extract_clauses_select_only(bank_lexicon):
-    ir = ir_of("get the branch_name", bank_lexicon)
-    assert extract_clauses(ir) == ("SELECT branch_name", None)
-
-
-def test_extract_clauses_connective():
-    ir = QueryIR(
-        ("x",),
-        None,
-        Connective("and", Comparison("a", ">", 1), Comparison("b", "<", 2)),
-    )
-    assert extract_clauses(ir) == ("SELECT x", "WHERE a > 1 AND b < 2")
 
 
 def test_resolve_bank_example(bank_schema, bank_graph, bank_lexicon):
@@ -183,6 +168,42 @@ def test_end_to_end_determinism(bank_schema, bank_graph, bank_lexicon):
     assert len({run() for _ in range(5)}) == 1
 
 
+def seeded_outputs(count):
+    """IR text, SQL and rows of `count` seeded genqueries queries over the
+    bank fixture, one line each, or the error a query ends in."""
+    schema = load_schema((FIXTURES / "schema.yaml").read_text(encoding="utf-8"))
+    graph, lexicon = build_graph(schema), generate_lexicon(schema)
+    ds = load_dataset(FIXTURES / "data", schema)
+    rng = random.Random(0)
+    lines = []
+    for _ in range(count):
+        query = genqueries.render(genqueries.random_query(rng, schema))
+        try:
+            ir = parse(tokenize(query, lexicon))
+            rq = resolve(ir, schema, graph)
+            lines += [ir_to_text(ir), generate_sql(rq).text, repr(execute(rq, ds).rows)]
+        except SpeakqlError as exc:
+            lines.append(repr(exc))
+    return "\n".join(lines)
+
+
+def test_outputs_do_not_depend_on_hash_seed():
+    # string hashing, and so the iteration order of sets of names, changes
+    # with PYTHONHASHSEED; no emitted artifact may
+    path = [str(Path(speakql.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    cmd = [sys.executable, "-c", "import test_builder; print(test_builder.seeded_outputs(1000))"]
+    outs = [
+        subprocess.run(
+            cmd, env=dict(env, PYTHONHASHSEED=seed), capture_output=True, encoding="utf-8",
+            check=True, timeout=120,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") > 2000
+
+
 KEYWORD_SCHEMA = """
 tables:
   - name: order
@@ -210,8 +231,10 @@ tables:
 )
 def test_sql_keywords_as_names_are_quoted(tmp_path, text, sql):
     schema = load_schema(KEYWORD_SCHEMA)
-    (tmp_path / "order.csv").write_text("from,select\n1,a\n4,b\n5,a\n,c\n")
-    (tmp_path / "unique.csv").write_text("select,limit\na,1.5\na,3.0\nb,2.0\n,0.5\n")
+    (tmp_path / "order.csv").write_text("from,select\n1,a\n4,b\n5,a\n,c\n", encoding="utf-8")
+    (tmp_path / "unique.csv").write_text(
+        "select,limit\na,1.5\na,3.0\nb,2.0\n,0.5\n", encoding="utf-8"
+    )
     ds = load_dataset(tmp_path, schema)
     rq = resolve(parse(tokenize(text, generate_lexicon(schema))), schema, build_graph(schema))
     assert generate_sql(rq).text == sql

@@ -85,11 +85,36 @@ def test_usage_error_phonemes_without_models(capsys):
 
 def test_config_error(capsys, tmp_path):
     bad = tmp_path / "schema.yaml"
-    bad.write_text("tables: []\n")
+    bad.write_text("tables: []\n", encoding="utf-8")
     code, out, err = run(capsys, "--schema", str(bad), "--query", "get balance")
     assert code == 3
     assert out == ""
     assert err
+
+
+# every file given is loaded before the first query, even one it does not need
+def test_bad_models_with_query_config_error(capsys, tmp_path):
+    models = tmp_path / "models.yaml"
+    models.write_text("words: [\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "--schema", SCHEMA, "--models", str(models), "--query", GOLDEN_QUERY
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("speakql: ") and len(err.splitlines()) == 1
+
+
+def test_bad_csv_with_emit_sql_config_error(capsys, tmp_path):
+    for path in Path(DATA).iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "loan.csv").write_text("wrong,header\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "--schema", SCHEMA, "--data", str(tmp_path), "--query", GOLDEN_QUERY,
+        "--emit", "sql",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("speakql: ") and "header" in err
 
 
 def test_translation_error_unknown_word(capsys):
@@ -125,7 +150,8 @@ def test_translation_error_disconnected_schema(capsys, tmp_path):
     schema.write_text(
         "tables:\n"
         "  - {name: city, kind: entity, columns: [{name: city_name, type: text}]}\n"
-        "  - {name: river, kind: entity, columns: [{name: river_name, type: text}]}\n"
+        "  - {name: river, kind: entity, columns: [{name: river_name, type: text}]}\n",
+        encoding="utf-8",
     )
     code, out, err = run(
         capsys, "--schema", str(schema), "--query", "get city_name and river_name",
@@ -146,7 +172,7 @@ def test_phoneme_path(capsys):
 
 def test_decode_error(capsys, tmp_path):
     bad = tmp_path / "phonemes.txt"
-    bad.write_text("g eh t\n")  # verb alone is not an accepting sentence
+    bad.write_text("g eh t\n", encoding="utf-8")  # verb alone is not an accepting sentence
     code, out, err = run(
         capsys, "--schema", SCHEMA, "--models", MODELS, "--phonemes", str(bad)
     )
@@ -159,7 +185,7 @@ def test_phonemes_all_decoded_before_output(capsys, tmp_path):
     # the second line fails to decode, so the first line's SQL must not
     # be printed either
     phonemes = tmp_path / "phonemes.txt"
-    phonemes.write_text(Path(PHONEMES).read_text(encoding="utf-8") + "g eh t\n")
+    phonemes.write_text(Path(PHONEMES).read_text(encoding="utf-8") + "g eh t\n", encoding="utf-8")
     code, out, err = run(
         capsys, "--schema", SCHEMA, "--models", MODELS, "--phonemes", str(phonemes)
     )
@@ -212,6 +238,40 @@ def test_repl_line_not_utf8(capsys, monkeypatch):
     assert err.startswith("speakql: unknown word") and len(err.splitlines()) == 1
 
 
+def test_repl_without_stdin(capsys, monkeypatch):
+    # Python sets sys.stdin to None when fd 0 is closed at start-up
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(capsys, "--schema", SCHEMA, "--repl")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("speakql: ") and len(err.splitlines()) == 1
+
+
+def unusable_stderr(kind, devnull):
+    # Python sets sys.stderr to None when fd 2 is closed at start-up; a
+    # file open for reading raises io.UnsupportedOperation on write
+    return None if kind == "none" else devnull
+
+
+@pytest.mark.parametrize("kind", ["none", "read-only"])
+def test_unusable_stderr_keeps_exit_code(capsys, monkeypatch, tmp_path, kind):
+    with open(os.devnull, encoding="utf-8") as devnull:
+        monkeypatch.setattr("sys.stderr", unusable_stderr(kind, devnull))
+        code = main(["--schema", str(tmp_path / "missing.yaml"), "--query", "x"])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind", ["none", "read-only"])
+def test_repl_goes_on_when_stderr_unusable(capsys, monkeypatch, kind):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"get frobnicate\n{GOLDEN_QUERY}\n"))
+    with open(os.devnull, encoding="utf-8") as devnull:
+        monkeypatch.setattr("sys.stderr", unusable_stderr(kind, devnull))
+        code = main(["--schema", SCHEMA, "--repl"])
+    assert code == 0
+    assert capsys.readouterr().out == GOLDEN_SQL + "\n"
+
+
 ZURICH_QUERY = "get customer_name whose customer_city equals 'Z\u00fcrich'"
 
 
@@ -236,7 +296,7 @@ def test_closed_stdout_pipe(tmp_path):
     # far more output than a pipe buffer holds, so a write after the
     # reader has gone fails
     queries = tmp_path / "queries.txt"
-    queries.write_text("get customer_name and balance\n" * 20_000)
+    queries.write_text("get customer_name and balance\n" * 20_000, encoding="utf-8")
     path = [str(Path(speakql.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     # a buffered stdout, as by default, still holds bytes for the closed

@@ -45,7 +45,7 @@ def _mini_schema():
 
 
 def test_header_order_mismatch(tmp_path):
-    (tmp_path / "t.csv").write_text("n,a\n1,x\n")
+    (tmp_path / "t.csv").write_text("n,a\n1,x\n", encoding="utf-8")
     with pytest.raises(DatasetError) as exc:
         load_dataset(tmp_path, _mini_schema())
     assert "header" in str(exc.value)
@@ -53,7 +53,7 @@ def test_header_order_mismatch(tmp_path):
 
 def test_unparseable_cell(tmp_path):
     for raw in ("12x", "1.5"):
-        (tmp_path / "t.csv").write_text(f"a,n\nx,{raw}\n")
+        (tmp_path / "t.csv").write_text(f"a,n\nx,{raw}\n", encoding="utf-8")
         with pytest.raises(DatasetError) as exc:
             load_dataset(tmp_path, _mini_schema())
         assert str(exc.value) == f"t.csv row 2, column 'n': cannot parse {raw!r} as integer"
@@ -66,14 +66,14 @@ def test_non_finite_real_cell(tmp_path, raw):
         "  - name: t\n"
         "    columns: [{name: a, type: text}, {name: r, type: real}]\n"
     )
-    (tmp_path / "t.csv").write_text(f"a,r\nx,1.5\ny,{raw}\n")
+    (tmp_path / "t.csv").write_text(f"a,r\nx,1.5\ny,{raw}\n", encoding="utf-8")
     with pytest.raises(DatasetError) as exc:
         load_dataset(tmp_path, schema)
     assert str(exc.value) == f"t.csv row 3, column 'r': cannot parse {raw!r} as real"
 
 
 def test_empty_cell_is_null(tmp_path):
-    (tmp_path / "t.csv").write_text("a,n\nx,\n")
+    (tmp_path / "t.csv").write_text("a,n\nx,\n", encoding="utf-8")
     ds = load_dataset(tmp_path, _mini_schema())
     assert ds.tables["t"].rows == (("x", None),)
 
@@ -98,9 +98,9 @@ def test_empty_table_gives_empty_result(tmp_path, bank_schema, bank_graph, bank_
     data = FIXTURES / "data"
     for name in ("customer", "branch", "borrower", "depositor", "loan"):
         (tmp_path / f"{name}.csv").write_text(
-            (data / f"{name}.csv").read_text(), encoding="utf-8"
+            (data / f"{name}.csv").read_text(encoding="utf-8"), encoding="utf-8"
         )
-    (tmp_path / "account.csv").write_text("account_number,branch_name,balance\n")
+    (tmp_path / "account.csv").write_text("account_number,branch_name,balance\n", encoding="utf-8")
     ds = load_dataset(tmp_path, bank_schema)
     rq = rq_of(
         "get customer_name whose balance greater than 3000",
@@ -191,7 +191,7 @@ def test_later_table_with_two_placed_links(bank_graph):
 
 
 def test_null_comparisons_are_false(tmp_path):
-    (tmp_path / "t.csv").write_text("a,n\nx,\ny,5\n")
+    (tmp_path / "t.csv").write_text("a,n\nx,\ny,5\n", encoding="utf-8")
     ds = load_dataset(tmp_path, _mini_schema())
     rq = ResolvedQuery(
         select_refs=(("t", "a"),),
@@ -305,17 +305,19 @@ def test_case_variant_spellings_of_one_column(tmp_path, capsys, query):
         "  - name: ta\n"
         "    columns: [{name: Key, type: integer}, {name: aval, type: text}]\n"
         "  - name: tb\n"
-        "    columns: [{name: key, type: integer}, {name: bval, type: text}]\n"
+        "    columns: [{name: key, type: integer}, {name: bval, type: text}]\n",
+        encoding="utf-8",
     )
-    (tmp_path / "ta.csv").write_text("Key,aval\n1,x\n2,y\n,z\n")
-    (tmp_path / "tb.csv").write_text("key,bval\n1,p\n1,q\n3,r\n,s\n")
+    (tmp_path / "ta.csv").write_text("Key,aval\n1,x\n2,y\n,z\n", encoding="utf-8")
+    (tmp_path / "tb.csv").write_text("key,bval\n1,p\n1,q\n3,r\n,s\n", encoding="utf-8")
     args = ["--schema", str(tmp_path / "schema.yaml"), "--query", query]
     assert main(args) == 0
     sql = capsys.readouterr().out.strip()
     assert "ta.Key = tb.Key" in sql
     assert main(args + ["--data", str(tmp_path), "--emit", "rows", "--format", "csv"]) == 0
     header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
-    ds = load_dataset(tmp_path, load_schema((tmp_path / "schema.yaml").read_text()))
+    schema = load_schema((tmp_path / "schema.yaml").read_text(encoding="utf-8"))
+    ds = load_dataset(tmp_path, schema)
     assert sorted(tuple(r) for r in rows) == sqlite_rows(ds, sql)
     assert rows
 
