@@ -23,8 +23,15 @@ EXIT_CONFIG = 3
 EXIT_EXECUTE = 6
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        if sys.stderr is None:  # print_usage would fall back to stdout
+            self.exit(EXIT_USAGE)
+        super().error(message)
+
+
 def build_arg_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="speakql",
         description="Translate restricted-English queries (text or phoneme "
         "streams) to SQL and optionally run them over CSV tables.",
@@ -119,13 +126,16 @@ def main(argv=None):
                         out = builder.generate_sql(rq).text + "\n"
                     else:
                         out = _format_rows(executor.execute(rq, dataset), args.format)
+                if sys.stdout is None:  # fd 1 was closed at start-up
+                    raise OSError("stdout is closed")
                 # flushed per query, so that a closed pipe fails in this try
                 print(out, end="", flush=True)
             except (OSError, UnicodeEncodeError) as exc:
                 # stdout's unflushed bytes would fail again in the
                 # interpreter's last flush, so they go nowhere
                 with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:
-                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+                    if sys.stdout is not None:
+                        os.dup2(devnull.fileno(), sys.stdout.fileno())
                 raise SpeakqlError(f"cannot write output: {exc}") from exc
             except SpeakqlError as exc:
                 if not args.repl:

@@ -9,17 +9,19 @@ enumeration oracles.
 `decode_sentence` walks observation positions in order. From each
 position that some grammar state has reached, it runs one Viterbi pass
 per word on the arcs leaving those states, shared by every such arc, and
-ends the pass at the frame where no state of the word survives. The cost
-is linear in the frames times the span a word survives; a model whose
-words never die decodes in time quadratic in the frames. `viterbi_word`
-reads one span of the same pass.
+ends the pass at the frame where no state of the word survives. Every
+state path is held as a value, a tuple compared with `<`. The steps are
+linear in the frames times the span a word survives; each step copies a
+path of up to that span, and each kept prefix one of up to its frames.
+A model whose words never die takes steps quadratic, and copies cubic,
+in the frames. `viterbi_word` reads one span of the same pass.
 
 Tie contract: every score is the float sum the exhaustive enumeration
 computes, in the same order, and two decodings tie when those sums are
 equal. A (position, grammar state) cell keeps its best score and, for
-each word count, the smallest prefix reaching it, which is exact for
-ties of equal prefix scores. Prefixes whose scores differ but round to
-the same total after an extension are not treated as tied.
+each word count, the smallest (words, state path) prefix reaching it,
+which is exact for ties of equal prefix scores. Prefixes whose scores
+differ but round to the same total after an extension are not tied.
 """
 
 from __future__ import annotations
@@ -186,78 +188,49 @@ def _indexed(value, n, where):
     return pairs
 
 
-class _WordPass:
-    """One Viterbi recursion of a word model entered at frame `start`.
-
-    It runs until no state survives or the observations end. `ends` holds
-    (end, log probability, offset, last state) for every end frame at
-    which the word can exit, where `offset` is end - start - 1. `back[k]`
-    maps each state alive at frame start+k to its predecessor, so a state
-    path is rebuilt only to break an exact tie and for a winner. Scores
-    are the float sums of exhaustive enumeration, added in the same
-    order.
-    """
-
-    __slots__ = ("back", "ends")
-
-    def __init__(self, observations, start, hmm):
-        states, transitions, exits = hmm.states, hmm.transitions, hmm.exit
-        log = math.log
-        self.back = back = [None]
-        self.ends = ends = []
-        symbol = observations[start]
-        cells = {}  # state -> best log probability at the current frame
-        for idx, p in hmm.entry:
-            e = states[idx].emissions.get(symbol, 0.0)
-            if p > 0.0 and e > 0.0:
-                score = log(p) + log(e)
-                if score > cells.get(idx, NEG_INF):
-                    cells[idx] = score
-        end, n = start + 1, len(observations)
-        while cells:
-            offset = end - start - 1
-            best, last = NEG_INF, None
-            for idx, score in cells.items():
-                p = exits.get(idx, 0.0)
-                if p > 0.0:
-                    total = score + log(p)
-                    if total > best or (
-                        total == best
-                        and self.path(offset, idx) < self.path(offset, last)
-                    ):
-                        best, last = total, idx
-            if last is not None:
-                ends.append((end, best, offset, last))
-            if end == n:
-                break
-            symbol = observations[end]
-            nxt, links = {}, {}
-            for src, score in cells.items():
-                for dst, p in transitions.get(src, ()):
-                    e = states[dst].emissions.get(symbol, 0.0)
-                    if p > 0.0 and e > 0.0:
-                        step = score + log(p) + log(e)
-                        old = nxt.get(dst)
-                        if old is None or step > old:
-                            nxt[dst], links[dst] = step, src
-                        elif step == old and self.path(offset, src) < self.path(
-                            offset, links[dst]
-                        ):
-                            links[dst] = src
-            back.append(links)
-            cells = nxt
-            end += 1
-
-    def path(self, offset, state):
-        """State indices of the best path ending in `state` at frame
-        start+offset, as a list."""
-        back = self.back
-        path = [state]
-        for k in range(offset, 0, -1):
-            state = back[k][state]
-            path.append(state)
-        path.reverse()
-        return path
+def _word_ends(observations, start, hmm):
+    """One Viterbi pass of a word model entered at frame `start`: the
+    (end, log probability, state path) of every frame at which the word
+    can exit, until no state survives or the observations end. A live
+    state holds (score, path), the path a tuple of state indices, and
+    scores are the float sums of exhaustive enumeration, in its order."""
+    states, transitions, exits = hmm.states, hmm.transitions, hmm.exit
+    log = math.log
+    ends = []
+    symbol = observations[start]
+    cells = {}  # state -> (best log probability, its state path) at this frame
+    for idx, p in hmm.entry:
+        e = states[idx].emissions.get(symbol, 0.0)
+        if p > 0.0 and e > 0.0:
+            score = log(p) + log(e)
+            if idx not in cells or score > cells[idx][0]:
+                cells[idx] = (score, (idx,))
+    end, n = start + 1, len(observations)
+    while cells:
+        best, best_path = NEG_INF, None
+        for idx, (score, path) in cells.items():
+            p = exits.get(idx, 0.0)
+            if p > 0.0:
+                total = score + log(p)
+                if total > best or (total == best and path < best_path):
+                    best, best_path = total, path
+        if best_path is not None:
+            ends.append((end, best, best_path))
+        if end == n:
+            break
+        symbol = observations[end]
+        nxt = {}
+        for src, (score, path) in cells.items():
+            for dst, p in transitions.get(src, ()):
+                e = states[dst].emissions.get(symbol, 0.0)
+                if p > 0.0 and e > 0.0:
+                    step = score + log(p) + log(e)
+                    old = nxt.get(dst)
+                    if old is None or step > old[0] or (step == old[0] and path < old[1][:-1]):
+                        nxt[dst] = (step, path + (dst,))
+        cells = nxt
+        end += 1
+    return ends
 
 
 def viterbi_word(observations, hmm):
@@ -268,16 +241,10 @@ def viterbi_word(observations, hmm):
     """
     if not observations:
         raise ValueError("observations must be nonempty")
-    run = _WordPass(observations, 0, hmm)
-    if not run.ends or run.ends[-1][0] != len(observations):
+    ends = _word_ends(observations, 0, hmm)
+    if not ends or ends[-1][0] != len(observations):
         return NEG_INF, ()
-    _, score, offset, last = run.ends[-1]
-    return score, tuple(run.path(offset, last))
-
-
-# A candidate sentence prefix: (words, previous candidate, word pass,
-# offset of its end frame in that pass, last state of the word).
-_ROOT = ((), None, None, 0, None)
+    return ends[-1][1:]
 
 
 def decode_sentence(observations, hmms, fsa):
@@ -285,11 +252,11 @@ def decode_sentence(observations, hmms, fsa):
 
     Exact dynamic program over (observation position, grammar state); the
     grammar is unweighted so only acoustic likelihoods rank decodings.
-    Each word is scored by one `_WordPass` per start position, shared by
-    every arc that uses it. A (position, grammar state) cell keeps its
-    best score and, among the prefixes that reach it, the smallest one
-    per word count: lexicographic order survives a common extension only
-    between word sequences of equal length.
+    Each word is scored by one `_word_ends` pass per start position,
+    shared by every arc that uses it. A (position, grammar state) cell
+    keeps its best score and, per word count, the smallest prefix (words,
+    state path) that reaches it, compared as tuples: that order survives
+    a common extension only between word sequences of equal length.
     """
     if not observations:
         raise ValueError("observations must be nonempty")
@@ -299,59 +266,44 @@ def decode_sentence(observations, hmms, fsa):
         arcs_from.setdefault(src, []).append((word, dst))
     n = len(observations)
 
-    # cells[pos][grammar state] = (score, {word count: candidate})
+    # cells[pos][grammar state] = (score, {word count: (words, state path)})
     cells = [{} for _ in range(n + 1)]
-    cells[0][fsa.start] = (0.0, {0: _ROOT})
+    cells[0][fsa.start] = (0.0, {0: ((), ())})
     for i in range(n):
         passes = {}
-        for state, (score, cands) in cells[i].items():
+        for state, (score, prefixes) in cells[i].items():
             for word, dst in arcs_from.get(state, ()):
-                run = passes.get(word)
-                if run is None:
-                    run = passes[word] = _WordPass(observations, i, by_name[word])
-                for end, wscore, offset, last in run.ends:
-                    total = score + wscore
-                    _extend(cells[end], dst, total, cands, word, run, offset, last)
+                ends = passes.get(word)
+                if ends is None:
+                    ends = passes[word] = _word_ends(observations, i, by_name[word])
+                for end, wscore, path in ends:
+                    _extend(cells[end], dst, score + wscore, prefixes, word, path)
         cells[i] = None
 
     winner, best = None, NEG_INF
     for state in fsa.accepting:
-        score, cands = cells[n].get(state, (NEG_INF, {}))
-        for cand in cands.values():
-            if score > best or (score == best and _before(cand, winner)):
-                winner, best = cand, score
+        score, prefixes = cells[n].get(state, (NEG_INF, {}))
+        for prefix in prefixes.values():
+            if score > best or (score == best and prefix < winner):
+                winner, best = prefix, score
     if winner is None:
         raise DecodeError("no accepting decoding with positive probability")
-    return Decoding(winner[0], best, tuple(_state_path(winner)))
+    return Decoding(winner[0], best, winner[1])
 
 
-def _extend(cell_map, dst, score, cands, word, run, offset, last):
-    """Offer every candidate of a cell, extended by one word, to (end, dst)."""
+def _extend(cell_map, dst, score, prefixes, word, path):
+    """Offer every prefix of a cell, extended by `word` along its state
+    `path`, to (end, dst)."""
     cell = cell_map.get(dst)
     if cell is None or score > cell[0]:
         cell = cell_map[dst] = (score, {})
     elif score < cell[0]:
         return
+    # of a list: tuple() of a generator fills the runtime's freed-tuple caches
+    pairs = tuple([(word, idx) for idx in path])
     kept = cell[1]
-    for k, prev in cands.items():
-        cand = (prev[0] + (word,), prev, run, offset, last)
+    for k, (words, spath) in prefixes.items():
+        prefix = (words + (word,), spath + pairs)
         old = kept.get(k + 1)
-        if old is None or _before(cand, old):
-            kept[k + 1] = cand
-
-
-def _before(a, b):
-    """Whether candidate a sorts before b: smaller words, then smaller
-    state path."""
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    return _state_path(a) < _state_path(b)
-
-
-def _state_path(cand):
-    """The (word, state index) pairs of a candidate, as a list."""
-    segments = []
-    while cand[1] is not None:
-        words, cand, run, offset, last = cand
-        segments.append([(words[-1], s) for s in run.path(offset, last)])
-    return [pair for segment in reversed(segments) for pair in segment]
+        if old is None or prefix < old:
+            kept[k + 1] = prefix

@@ -292,6 +292,57 @@ def test_stdout_cannot_encode(capsys, monkeypatch, mode):
     assert stdout.buffer.getvalue() == expected
 
 
+@pytest.mark.parametrize("mode", ["--query", "--repl"])
+def test_stdout_none_exits_6(capsys, monkeypatch, mode):
+    # Python sets sys.stdout to None when fd 1 is closed at start-up
+    monkeypatch.setattr("sys.stdout", None)
+    lines = f"get frobnicate\n{GOLDEN_QUERY}\n{GOLDEN_QUERY}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    argv = ["--query", GOLDEN_QUERY] if mode == "--query" else ["--repl"]
+    code = main(["--schema", SCHEMA, *argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 6
+    # the REPL reported the unknown word, went on and stopped at the first SQL
+    assert len(err) == (1 if mode == "--query" else 2)
+    assert err[-1] == "speakql: cannot write output: stdout is closed"
+
+
+USAGE = (
+    "usage: speakql [-h] --schema SCHEMA [--data DATA] [--models MODELS]\n"
+    "               [--query QUERY] [--phonemes PHONEMES] [--repl]\n"
+    "               [--emit {sql,ir,rows}] [--format {table,csv}]\n"
+)
+
+
+def test_usage_error_text_on_stderr(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--schema", "x", "--bogus"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert captured.err == USAGE + "speakql: error: unrecognized arguments: --bogus\n"
+
+
+def test_usage_error_without_stderr(capsys, monkeypatch):
+    # argparse prints its usage to stdout when the file it is given is None
+    monkeypatch.setattr("sys.stderr", None)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--schema", "x", "--bogus"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_help_on_stdout(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 0
+    assert captured.out.startswith(USAGE + "\nTranslate restricted-English")
+    assert captured.err == ""
+
+
 def test_closed_stdout_pipe(tmp_path):
     # far more output than a pipe buffer holds, so a write after the
     # reader has gone fails

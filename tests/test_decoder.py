@@ -370,3 +370,51 @@ def test_decode_sentence_matches_enumeration_on_all_tie_models():
         got = (got.log_probability, got.words, got.state_path)
         assert got == want, (obs, hmms, fsa)
     assert decodable >= 500
+
+
+def _flat_left_to_right_word(rng, p):
+    """A left-to-right word whose every probability is `p`: every path
+    over the same frames adds the same terms in the same order, so all
+    of them tie exactly."""
+    n = rng.randint(2, 4)
+    states = tuple(PhonemeState("w", {"x": p, "y": p}) for _ in range(n))
+    transitions = {
+        i: tuple((j, p) for j in range(i, min(i + 3, n)) if j <= i + 1 or rng.random() < 0.5)
+        for i in range(n)
+    }
+    entry = tuple((i, p) for i in range(n) if i == 0 or rng.random() < 0.3)
+    exits = {i: p for i in range(n) if i == n - 1 or rng.random() < 0.3}
+    return WordHmm("w", states, transitions, entry, exits)
+
+
+def test_viterbi_word_ties_over_long_spans():
+    rng = random.Random(1989)
+    for _ in range(20):
+        hmm = _flat_left_to_right_word(rng, rng.choice((0.5, 1.0)))
+        obs = [rng.choice(("x", "y")) for _ in range(rng.randint(8, 20))]
+        paths = oracles.enumerate_word_paths(obs, hmm)
+        assert len(paths) > 1 and len({score for score, _ in paths}) == 1
+        assert viterbi_word(obs, hmm) == oracles.best_word_path(obs, hmm)
+
+
+def _flat_word(word, n, symbols):
+    """A left-to-right word of `n` self-looped states, entered at the
+    first and left from the last, with every probability 1.0."""
+    states = tuple(PhonemeState(word, {s: 1.0 for s in symbols}) for _ in range(n))
+    transitions = {i: tuple((j, 1.0) for j in (i, i + 1) if j < n) for i in range(n)}
+    return WordHmm(word, states, transitions, ((0, 1.0),), {n - 1: 1.0})
+
+
+@pytest.mark.parametrize("obs", ["xyxyxyxyxy", "xxxxxxxxxy", "yyyyyyyyy", "xxyxxyxxyxx"])
+def test_decode_sentence_ties_over_ten_frames(obs):
+    # every decoding scores 0.0, so segmentations, word counts and state
+    # paths are ranked by the tie-break alone
+    hmms = [_flat_word("a", 2, "xy"), _flat_word("b", 3, "xy"), _flat_word("c", 1, "y")]
+    arcs = (
+        ("S", "a", "M"), ("S", "b", "M"), ("M", "b", "N"),
+        ("M", "c", "F"), ("N", "c", "F"), ("N", "a", "F"),
+    )
+    fsa = GrammarFsa(frozenset("SMNF"), "S", frozenset("F"), arcs)
+    got = decode_sentence(list(obs), hmms, fsa)
+    want = oracles.best_sentence(list(obs), hmms, fsa)
+    assert (got.log_probability, got.words, got.state_path) == want
