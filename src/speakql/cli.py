@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage, 3 configuration/file, 4 translation
 (lex/parse/resolve, including tables with no join path), 5 decode,
-6 execution or output that cannot be written. Only the emitted
+6 output that cannot be written. Only the emitted
 artifact goes to stdout; diagnostics go to stderr.
 """
 
@@ -19,8 +19,7 @@ from . import builder, decoder, executor, lexer, parser, schema
 from .errors import SpeakqlError
 
 EXIT_USAGE = 2
-EXIT_CONFIG = 3
-EXIT_EXECUTE = 6
+EXIT_OUTPUT = 6
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -94,7 +93,6 @@ def main(argv=None):
     if args.phonemes and not args.models:
         return _fail(EXIT_USAGE, "--phonemes requires --models")
 
-    stage_code = EXIT_CONFIG
     try:
         sch = schema.load_schema(_read(args.schema))
         graph = schema.build_graph(sch)
@@ -114,7 +112,6 @@ def main(argv=None):
             if hasattr(sys.stdin, "reconfigure"):
                 sys.stdin.reconfigure(errors="surrogateescape")
             queries = filter(None, (line.strip() for line in sys.stdin))
-        stage_code = EXIT_EXECUTE
         for query_text in queries:
             try:
                 ir = parser.parse(lexer.tokenize(query_text, lexicon))
@@ -136,13 +133,15 @@ def main(argv=None):
                 with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:
                     if sys.stdout is not None:
                         os.dup2(devnull.fileno(), sys.stdout.fileno())
-                raise SpeakqlError(f"cannot write output: {exc}") from exc
+                return _fail(EXIT_OUTPUT, f"cannot write output: {exc}")
             except SpeakqlError as exc:
                 if not args.repl:
                     raise
-                _fail(exc.exit_code or stage_code, str(exc))
+                _fail(exc.exit_code, str(exc))
     except SpeakqlError as exc:
-        return _fail(exc.exit_code or stage_code, str(exc))
+        return _fail(exc.exit_code, str(exc))
+    except OSError as exc:  # a stdin read: `_read` and `load_dataset` wrap theirs
+        return _fail(SpeakqlError.exit_code, f"cannot read queries: {exc}")
     return 0
 
 

@@ -3,9 +3,10 @@
 
 class SpeakqlError(Exception):
     """Base class for all errors raised by this package. `exit_code` is the
-    CLI's exit status for the error; None leaves it to the failing stage."""
+    CLI's exit status for the error: 3, a configuration or file error,
+    unless a subclass sets another."""
 
-    exit_code = None
+    exit_code = 3
 
 
 class SchemaConfigError(SpeakqlError):

@@ -130,7 +130,9 @@ def tokenize(query_text, lexicon):
             # identifiers
             if _NUMBER_RE.match(word):
                 tokens.append(Token(TokenKind.NUMBER, unit, word, i))
-            elif word in lexicon.column_spelling:
+            elif word in lexicon.column_spelling and not (  # `of` takes only a table
+                word in lexicon.table_spelling and tokens and tokens[-1].kind is TokenKind.OF
+            ):
                 tokens.append(
                     Token(TokenKind.COLUMN, unit, lexicon.column_spelling[word], i)
                 )

@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import speakql
+from speakql import errors
 from speakql.cli import main
 
 from conftest import FIXTURES
@@ -160,6 +162,26 @@ def test_translation_error_disconnected_schema(capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert "not connected" in err
+
+
+@pytest.mark.parametrize(
+    "query, sql",
+    [
+        ("get city of branch", "SELECT city FROM branch"),
+        ("get branch of loan", "SELECT branch FROM loan"),
+        ("get city of the branch whose branch equals 'x'",
+         "SELECT city FROM branch WHERE branch = 'x'"),
+    ],
+)
+def test_table_named_like_a_column_after_of(capsys, tmp_path, query, sql):
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(
+        "tables:\n"
+        "  - {name: branch, columns: [{name: branch, type: text}, {name: city, type: text}]}\n"
+        "  - {name: loan, columns: [{name: branch, type: text}, {name: amount, type: integer}]}\n",
+        encoding="utf-8",
+    )
+    assert run(capsys, "--schema", str(schema), "--query", query) == (0, sql + "\n", "")
 
 
 def test_phoneme_path(capsys):
@@ -365,6 +387,65 @@ def test_closed_stdout_pipe(tmp_path):
     assert code == 6
     assert "Traceback" not in err
     assert err.startswith("speakql: cannot write output") and len(err.splitlines()) == 1
+
+
+# (shell redirection, arguments, stdin text, exit code); fd 0 is closed or
+# write-only under --repl, fd 1 closed or read-only, fd 2 closed or read-only
+# while an unknown word is reported
+FD_STATES = {
+    "stdin-closed": ("0<&-", ["--repl"], None, 3),
+    "stdin-write-only": ('0>>"$SPARE"', ["--repl"], None, 3),
+    "stdout-closed": ("1>&-", ["--query", GOLDEN_QUERY], None, 6),
+    "stdout-read-only": ('1<"$SPARE"', ["--query", GOLDEN_QUERY], None, 6),
+    "stderr-closed": ("2>&-", ["--query", "get frobnicate"], None, 4),
+    "stderr-read-only": ('2<"$SPARE"', ["--query", "get frobnicate"], None, 4),
+    "repl-stdout-closed": ("1>&-", ["--repl"], GOLDEN_QUERY + "\n", 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FD_STATES))
+def test_fd_states_exit_codes(tmp_path, case):
+    redirect, argv, stdin, expected = FD_STATES[case]
+    spare = tmp_path / "spare"
+    spare.write_bytes(b"")
+    path = [str(Path(speakql.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), SPARE=str(spare))
+    cmd = ["sh", "-c", f'exec "$@" {redirect}', "sh",
+           sys.executable, "-m", "speakql.cli", "--schema", SCHEMA, *argv]
+    proc = subprocess.run(
+        cmd, input=(stdin or "").encode(), capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == expected
+    assert b"Traceback" not in proc.stderr
+
+
+def test_repl_stdin_read_error_after_first_line(capsys, monkeypatch):
+    def stdin():
+        yield GOLDEN_QUERY + "\n"
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr("sys.stdin", stdin())
+    code, out, err = run(capsys, "--schema", SCHEMA, "--repl")
+    assert code == 3
+    assert out == GOLDEN_SQL + "\n"
+    assert err == f"speakql: cannot read queries: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
+
+
+# the CLI's exit status for each error class; a class missing here fails
+EXIT_CODES = {
+    "SpeakqlError": 3, "SchemaConfigError": 3, "LexiconCollisionError": 3,
+    "ModelConfigError": 3, "DatasetError": 3,
+    "DisconnectedSchemaError": 4, "LexError": 4, "QueryParseError": 4, "ResolveError": 4,
+    "DecodeError": 5,
+}
+
+
+def test_exit_code_table():
+    classes = {
+        name: value for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.SpeakqlError)
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
 
 
 def _deep_list(depth):

@@ -108,6 +108,33 @@ def test_libyaml_parser_in_use():
         assert config._Loader is yaml.SafeLoader
 
 
+# PyYAML built without libyaml loads through yaml.SafeLoader alone; no time
+# bound here, as its scanner takes over a second on the deep flow list
+@pytest.mark.parametrize(
+    "text",
+    [
+        "tables: " + "[" * 100_000 + "]" * 100_000,
+        "- " * 100_000 + "x\n",
+        'a: "\ud800"',
+        "tables: !!int x\n",
+        "a:\t1",
+        "tables: [\n",
+    ],
+    ids=["deep-flow-list", "deep-block-list", "surrogate", "bad-int-tag", "tab", "unclosed"],
+)
+def test_pure_python_loader_rejects_with_config_error(monkeypatch, text):
+    monkeypatch.setattr(config, "_Loader", yaml.SafeLoader)
+    with pytest.raises(SchemaConfigError, match="parse error"):
+        load_yaml(text, SchemaConfigError, "config")
+
+
+@pytest.mark.parametrize("name", ["schema.yaml", "models.yaml"])
+def test_pure_python_loader_fixture_documents_equal_safe_load(monkeypatch, name):
+    monkeypatch.setattr(config, "_Loader", yaml.SafeLoader)
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    assert load_yaml(text, SchemaConfigError, "config") == yaml.safe_load(text)
+
+
 @pytest.mark.parametrize(
     "load, error", [(load_schema, SchemaConfigError), (load_models, ModelConfigError)]
 )

@@ -113,6 +113,35 @@ def test_table_token(bank_lexicon):
     ]
 
 
+SAME_NAME_SCHEMA = (
+    "tables:\n"
+    "  - {name: branch, columns: [{name: branch, type: text}, {name: city, type: text}]}\n"
+    "  - {name: loan, columns: [{name: branch, type: text}, {name: amount, type: integer}]}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        # after `of` the grammar takes only a table, so a word naming both is one
+        ("get city of branch", ["VERB_SELECT", "COLUMN", "OF", "TABLE"]),
+        ("get city of the branch", ["VERB_SELECT", "COLUMN", "OF", "TABLE"]),
+        ("get branch of loan", ["VERB_SELECT", "COLUMN", "OF", "TABLE"]),
+        ("get branch of branch", ["VERB_SELECT", "COLUMN", "OF", "TABLE"]),
+        # elsewhere a column wins, as before
+        (
+            "get city of branch whose branch equals 'x'",
+            ["VERB_SELECT", "COLUMN", "OF", "TABLE", "WHERE_INTRO", "COLUMN", "COMPARATOR",
+             "STRING_LITERAL"],
+        ),
+        ("get branch", ["VERB_SELECT", "COLUMN"]),
+    ],
+)
+def test_table_named_like_a_column_after_of(query, expected):
+    lexicon = generate_lexicon(load_schema(SAME_NAME_SCHEMA))
+    assert [k.value for k in kinds(tokenize(query, lexicon))] == expected
+
+
 def test_normalization_idempotence(bank_lexicon):
     text = "  Get   the  Branch_Name   whose  Assets Greater  Than 100 "
     a = tokenize(text, bank_lexicon)
