@@ -7,14 +7,17 @@ come out in the lexicographic order of source-row indices, tables taken
 in the plan's order, which is the FROM order of the emitted SQL.
 
 The product is never enumerated. Each top-level AND conjunct of the
-predicate that reads one table filters that table's rows first. Each
-later table in plan order is then hash-joined to the combinations so far
-on the tuple of its columns that join conditions link to placed tables;
-rows with a null there are left out, and a table with no link has the
-empty key, so its one bucket crosses it. In a `join_path` plan every
-later table links to one already placed, so no table is crossed. Each
-step keeps rows in source order, so no sort is needed. The remaining
-conjuncts, ORs that span tables, filter the joined combinations.
+predicate that reads one table filters that table's rows first. If one
+of its comparisons keeps at most a quarter of the table, by a bisect of
+its column's sorted index, only the narrowest such range's rows are
+read; else every row is (Selinger et al., 1979, access path selection).
+Each later table in plan order is then hash-joined to the combinations
+so far on the tuple of its columns that join conditions link to placed
+tables; rows with a null there are left out, and a table with no link
+has the empty key, so its one bucket crosses it. In a `join_path` plan
+every later table links to one already placed, so no table is crossed.
+Each step keeps rows in source order, so no sort is needed. The
+remaining conjuncts, ORs that span tables, filter the joined rows.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left, bisect_right
+from contextlib import suppress
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DatasetError
@@ -43,6 +49,8 @@ _COMPARE = {
 class TableData:
     header: tuple[str, ...]
     rows: tuple  # tuples of text/int/float/None
+    # column position -> that column's index (see _index), built on first use
+    indexes: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -148,6 +156,41 @@ def _filter(items, pred, index_of):
     return [x for i, x in enumerate(items) if i in keep]
 
 
+def _index(data, col):
+    """The positions of the rows whose column col is not null, stably sorted
+    by value: built on first use, None if the values do not sort together."""
+    if col not in data.indexes:
+        rows, data.indexes[col] = data.rows, None
+        keep = (i for i, r in enumerate(rows) if r[col] is not None)
+        with suppress(TypeError):
+            data.indexes[col] = array("q", sorted(keep, key=lambda i: rows[i][col]))
+    return data.indexes[col]
+
+
+def _read(data, conjuncts, index_of):
+    """The rows of `data` that pass every conjunct, in order, by the access path above."""
+    rows, paths = data.rows, []
+    for c in conjuncts:
+        if isinstance(c, Connective) or (index := _index(data, col := index_of(c))) is None:
+            continue
+        try:
+            lo = bisect_left(index, c.literal, key=(key := lambda i: rows[i][col]))
+            hi = bisect_right(index, c.literal, lo, key=key)
+        except TypeError:  # the literal does not sort with the column's values
+            continue
+        n = len(index)
+        slices = {"=": [(lo, hi)], "<>": [(0, lo), (hi, n)], "<": [(0, lo)], "<=": [(0, hi)],
+                  ">": [(hi, n)], ">=": [(lo, n)]}[c.op]
+        paths.append((sum(stop - start for start, stop in slices), c, index, slices))
+    if paths and 4 * (path := min(paths, key=lambda p: p[0]))[0] <= len(rows):
+        _, c, index, slices = path
+        rows = [rows[i] for i in sorted(i for start, stop in slices for i in index[start:stop])]
+        conjuncts = [x for x in conjuncts if x is not c]
+    for conjunct in conjuncts:
+        rows = _filter(rows, conjunct, index_of)
+    return rows
+
+
 def execute(rq, ds):
     """Run the resolved plan against the dataset."""
     plan = rq.join_plan
@@ -160,14 +203,11 @@ def execute(rq, ds):
     def column(table, name):
         return positions[table][name.lower()]
 
-    rows = {t: ds.tables[t].rows for t in plan.tables}
-    residual = []
+    local, residual = {t: [] for t in plan.tables}, []
     for conjunct, tables in _conjuncts(rq.predicate_refs):
-        if len(tables) == 1:
-            (t,) = tables
-            rows[t] = _filter(rows[t], conjunct, lambda c: column(c.table, c.column))
-        else:
-            residual.append(conjunct)
+        (local[[*tables][0]] if len(tables) == 1 else residual).append(conjunct)
+    rows = {t: _read(ds.tables[t], conjuncts, lambda c: column(c.table, c.column))
+            for t, conjuncts in local.items()}
 
     # a combination concatenates its rows, table t's starting at offset[t]
     first, *rest = plan.tables
