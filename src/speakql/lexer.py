@@ -1,8 +1,11 @@
 """Lexicon generation and tokenization of restricted-English queries.
 
 The lexicon mirrors the schema's column and table names; the keyword and
-noise tables are fixed. Matching is case-insensitive, multi-word phrases
-are matched longest-first, noise words are dropped silently.
+noise tables are fixed. One compiled scanner tries four rules at each
+unit, in order: a quoted string, a keyword phrase of two or more words
+(longest first), a number, any other unit. Only phrase words fold case
+as ASCII; every other unit is looked up by its `str.lower()` as a
+keyword, a column, a table or a noise word, and noise words are dropped.
 """
 
 from __future__ import annotations
@@ -68,22 +71,20 @@ RESERVED_WORDS = frozenset(
     w for phrase in KEYWORD_MAP for w in phrase.split()
 ) | NOISE_WORDS
 
-_NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
-_UNIT_RE = re.compile(r"'[^']*'|\"[^\"]*\"|\S+")
 # lone surrogates stand for query bytes that were not UTF-8 (os.fsdecode)
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
-
-
-def _phrases_by_first_word():
-    """first word -> [(words, kind, target)], longest phrase first."""
-    index = {}
-    for phrase in sorted(KEYWORD_MAP, key=lambda p: -len(p.split())):
-        words = phrase.split()
-        index.setdefault(words[0], []).append((words, *KEYWORD_MAP[phrase]))
-    return index
-
-
-_PHRASES = _phrases_by_first_word()
+# one group per rule of the module docstring; a phrase word is `(?ai:...)`
+# since plain IGNORECASE lets `ſ` match `s` and `İ` match `i`, and a global
+# ASCII flag would stop NBSP separating words and `١٢` being a number
+_SCANNER = re.compile(
+    r"""('[^']*'|"[^"]*")|("""
+    + "|".join(
+        r"\s+".join(f"(?ai:{w})" for w in phrase.split()) + r"(?!\S)"
+        for phrase in sorted(KEYWORD_MAP, key=lambda p: -len(p.split()))
+        if " " in phrase
+    )
+    + r")|([+-]?\d+(?:\.\d+)?(?!\S))|(\S+)"
+)
 
 
 @dataclass(frozen=True)
@@ -107,38 +108,31 @@ def generate_lexicon(schema):
 def tokenize(query_text, lexicon):
     """Map the query to a token list; noise words are dropped, multi-word
     keyword phrases are consumed as single tokens (longest match wins)."""
-    units = _UNIT_RE.findall(query_text)
-    words = [u.lower() for u in units]
     tokens = []
-    i = 0
-    while i < len(units):
-        unit = units[i]
-        quoted = len(unit) >= 2 and unit[0] in "'\"" and unit[-1] == unit[0]
-        if quoted and not _SURROGATE_RE.search(unit):  # else an unknown word
-            tokens.append(Token(TokenKind.STRING_LITERAL, unit, unit[1:-1], i))
-            i += 1
-            continue
-        word = words[i]
-        for parts, kind, target in _PHRASES.get(word, ()):
-            end = i + len(parts)
-            if words[i:end] == parts:
-                tokens.append(Token(kind, " ".join(units[i:end]), target, i))
-                i = end
-                break
+    i = 0  # word index of the unit in hand
+    for quoted, phrase, number, unit in _SCANNER.findall(query_text):
+        width = 1
+        if phrase:  # its source is its words joined by one space
+            words = phrase.split()
+            unit, width = " ".join(words), len(words)
+        if quoted and not _SURROGATE_RE.search(quoted):  # else an unknown word
+            tokens.append(Token(TokenKind.STRING_LITERAL, quoted, quoted[1:-1], i))
+        elif number:
+            tokens.append(Token(TokenKind.NUMBER, number, number, i))
         else:
-            # noise words cannot be numbers or, by the collision check,
-            # identifiers
-            if _NUMBER_RE.match(word):
-                tokens.append(Token(TokenKind.NUMBER, unit, word, i))
+            unit = unit or quoted
+            word = unit.lower()
+            if word in KEYWORD_MAP:
+                kind, target = KEYWORD_MAP[word]
+                tokens.append(Token(kind, unit, target, i))
             elif word in lexicon.column_spelling and not (  # `of` takes only a table
                 word in lexicon.table_spelling and tokens and tokens[-1].kind is TokenKind.OF
             ):
-                tokens.append(
-                    Token(TokenKind.COLUMN, unit, lexicon.column_spelling[word], i)
-                )
+                tokens.append(Token(TokenKind.COLUMN, unit, lexicon.column_spelling[word], i))
             elif word in lexicon.table_spelling:
                 tokens.append(Token(TokenKind.TABLE, unit, lexicon.table_spelling[word], i))
+            # noise words cannot be numbers or, by the collision check, identifiers
             elif word not in NOISE_WORDS:
                 raise LexError(unit, i)
-            i += 1
+        i += width
     return tokens

@@ -1,15 +1,100 @@
 """Independent brute-force reference implementations used as test oracles.
 
-These deliberately share no code with the package internals: scans of
+These deliberately share no code with the package internals: a
+character walk and a try-every-phrase loop for tokenizing, scans of
 every table and column for name lookups, subset and simple-path
 enumeration for join planning, exhaustive path enumeration for HMM
 decoding, and a literal triple-loop executor.
 """
 
 import math
+import operator
 from itertools import combinations, product
 
+from speakql.lexer import KEYWORD_MAP, NOISE_WORDS
+
 NEG_INF = float("-inf")
+
+
+# -------------------------------------------------------------------- lexer
+
+class UnknownWord(Exception):
+    def __init__(self, word, position):
+        super().__init__(word, position)
+        self.word, self.position = word, position
+
+
+def _units(text):
+    """(unit, quoted) pairs by a walk over the characters: a quote that
+    appears again later opens a string through that next quote, anything
+    else runs to the next whitespace."""
+    units, k = [], 0
+    while k < len(text):
+        if text[k].isspace():
+            k += 1
+            continue
+        end = text.find(text[k], k + 1) if text[k] in "'\"" else -1
+        quoted = end >= 0
+        if not quoted:
+            end = k
+            while end + 1 < len(text) and not text[end + 1].isspace():
+                end += 1
+        units.append((text[k : end + 1], quoted))
+        k = end + 1
+    return units
+
+
+def _ascii_lower(word):
+    return "".join(chr(ord(c) + 32) if "A" <= c <= "Z" else c for c in word)
+
+
+def _is_number(unit):
+    whole, dot, fraction = (unit[1:] if unit[:1] in "+-" else unit).partition(".")
+    return whole.isdecimal() and (not dot or fraction.isdecimal())
+
+
+def reference_tokenize(text, lexicon):
+    """(kind name, source, target, position) tuples, or UnknownWord.
+
+    At each unit: a quoted string without a lone surrogate; else every
+    keyword phrase of two or more words, longest first, its words
+    compared ASCII-lower-cased; else a number; else the unit's
+    `str.lower()` as a one-word keyword, a column (a table right after
+    `of`), a table or a noise word."""
+    units = _units(text)
+    folded = [_ascii_lower(u) for u, _ in units]
+    phrases = sorted((p.split() for p in KEYWORD_MAP if " " in p), key=len, reverse=True)
+    tokens, i = [], 0
+    while i < len(units):
+        unit, quoted = units[i]
+        if quoted and not any("\ud800" <= c <= "\udfff" for c in unit):
+            tokens.append(("STRING_LITERAL", unit, unit[1:-1], i))
+            i += 1
+            continue
+        for words in phrases:
+            if folded[i : i + len(words)] == words:
+                kind, target = KEYWORD_MAP[" ".join(words)]
+                source = " ".join(u for u, _ in units[i : i + len(words)])
+                tokens.append((kind.name, source, target, i))
+                i += len(words)
+                break
+        else:
+            word = unit.lower()
+            after_of = bool(tokens) and tokens[-1][0] == "OF"
+            if _is_number(unit):
+                tokens.append(("NUMBER", unit, unit, i))
+            elif word in KEYWORD_MAP:
+                tokens.append((KEYWORD_MAP[word][0].name, unit, KEYWORD_MAP[word][1], i))
+            elif word in lexicon.column_spelling and not (
+                after_of and word in lexicon.table_spelling
+            ):
+                tokens.append(("COLUMN", unit, lexicon.column_spelling[word], i))
+            elif word in lexicon.table_spelling:
+                tokens.append(("TABLE", unit, lexicon.table_spelling[word], i))
+            elif word not in NOISE_WORDS:
+                raise UnknownWord(unit, i)
+            i += 1
+    return tokens
 
 
 # ------------------------------------------------------------- name lookups
@@ -222,6 +307,12 @@ def reference_execute(rq, ds):
     return rows_out
 
 
+COMPARE = {
+    "=": operator.eq, "<>": operator.ne, ">": operator.gt,
+    "<": operator.lt, ">=": operator.ge, "<=": operator.le,
+}
+
+
 def _ref_pred(pred, env):
     if pred is None:
         return True
@@ -229,14 +320,7 @@ def _ref_pred(pred, env):
         val = env[(pred.table, pred.column)]
         if val is None or pred.literal is None:
             return False
-        return {
-            "=": val == pred.literal,
-            "<>": val != pred.literal,
-            ">": val > pred.literal,
-            "<": val < pred.literal,
-            ">=": val >= pred.literal,
-            "<=": val <= pred.literal,
-        }[pred.op]
+        return COMPARE[pred.op](val, pred.literal)
     left = _ref_pred(pred.left, env)
     right = _ref_pred(pred.right, env)
     return left and right if pred.op == "and" else left or right

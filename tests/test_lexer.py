@@ -7,6 +7,7 @@ from speakql.lexer import TokenKind, generate_lexicon, tokenize
 from speakql.schema import load_schema
 
 import genqueries
+import oracles
 
 
 def kinds(tokens):
@@ -162,3 +163,104 @@ def test_noise_insertion_invariance(bank_schema, bank_lexicon):
 
 def test_empty_is_fine_but_produces_no_tokens(bank_lexicon):
     assert tokenize("the all is", bank_lexicon) == []
+
+
+def lexed(text, lexicon):
+    """tokenize's tokens as tuples, or the unit it rejects and its position."""
+    try:
+        return [(t.kind.name, t.source_lexeme, t.target_lexeme, t.position)
+                for t in tokenize(text, lexicon)]
+    except LexError as exc:
+        return exc.word, exc.position
+
+
+def reference_lexed(text, lexicon):
+    try:
+        return oracles.reference_tokenize(text, lexicon)
+    except oracles.UnknownWord as exc:
+        return exc.word, exc.position
+
+
+SEPARATORS = [" ", "  ", "\t", "\n", "\xa0", " \t\n"]
+SPOILERS = ["ſ", "İ", "ı", "\u212a", "'", '"', "7", "\u0663", "\ud800", ".", "-", "greater",
+            "than", "or", "equal", "to", "less", "at", "most", "not", "of", "branch", "leſs than",
+            "at leaſt", "fİnd", "GİVE", "wıth"]
+
+
+def spoiled(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(0, len(chars))
+        piece = rng.choice(SPOILERS)
+        if rng.random() < 0.7:  # a unit of its own
+            piece = rng.choice(SEPARATORS) + piece + rng.choice(SEPARATORS)
+        if chars and rng.random() < 0.3:
+            chars[min(k, len(chars) - 1)] = piece
+        else:
+            chars.insert(k, piece)
+    return "".join(chars)
+
+
+def test_tokenize_matches_reference_lexer(bank_schema, bank_lexicon):
+    """Seeded queries, with noise, upper-cased and with odd whitespace
+    between words, and spoiled copies of them, against the brute-force
+    lexer: equal tokens, or the same unknown word at the same position."""
+    rng = random.Random(17)
+    texts = []
+    for _ in range(300):
+        units = genqueries.with_noise(rng, genqueries.random_query(rng, bank_schema),
+                                      rng.randint(0, 3))
+        texts += [genqueries.render(units), genqueries.render(units).upper(),
+                  "".join(rng.choice(SEPARATORS) + u for u in units)]
+    texts += [spoiled(rng, rng.choice(texts)) for _ in range(3000)]
+    rejected = 0
+    for text in texts:
+        want = reference_lexed(text, bank_lexicon)
+        assert lexed(text, bank_lexicon) == want, text
+        rejected += isinstance(want, tuple)
+    assert 1000 < rejected < len(texts) - 1000, rejected  # both outcomes well represented
+
+
+@pytest.mark.parametrize(
+    "query, word, position",
+    [
+        # phrase words fold case as ASCII only: plain IGNORECASE would
+        # take `ſ` for `s`, and `İ` and `ı` for `i`
+        ("get balance whose balance leſs than 5", "leſs", 4),
+        ("fİnd balance", "fİnd", 0),
+        ("fınd balance", "fınd", 0),
+        # a unit ends only at whitespace
+        ("get balance whose balance equals 5'x'", "5'x'", 5),
+        ("get balance whose balance equals 1.", "1.", 5),
+        # `than'x'` is one unit, so `greater` starts no phrase
+        ("get balance whose balance greater than'x'", "greater", 4),
+        # a quoted string holding a lone surrogate is an unknown word, whole
+        ("get branch_name whose branch_city equals 'New\udc80 York'", "'New\udc80 York'", 5),
+    ],
+)
+def test_rejected_units(bank_lexicon, query, word, position):
+    with pytest.raises(LexError) as exc:
+        tokenize(query, bank_lexicon)
+    assert (exc.value.word, exc.value.position) == (word, position)
+
+
+@pytest.mark.parametrize(
+    "query, source",
+    [
+        ("get balance whose balance GREATER\xa0THAN 5", "GREATER THAN"),
+        ("get balance whose balance greater\t\nthan 5", "greater than"),
+    ],
+)
+def test_phrase_words_are_separated_by_any_whitespace(bank_lexicon, query, source):
+    """NBSP and other Unicode whitespace separate phrase words as they
+    separate units; the source is the words joined by one space."""
+    tokens = tokenize(query, bank_lexicon)
+    assert [(t.kind, t.source_lexeme, t.target_lexeme, t.position) for t in tokens[4:]] == [
+        (TokenKind.COMPARATOR, source, ">", 4),
+        (TokenKind.NUMBER, "5", "5", 6),
+    ]
+
+
+def test_non_ascii_digits_are_a_number(bank_lexicon):
+    tokens = tokenize("get balance whose balance equals \u0661\u0662", bank_lexicon)
+    assert (tokens[-1].kind, tokens[-1].target_lexeme) == (TokenKind.NUMBER, "\u0661\u0662")
