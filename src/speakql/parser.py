@@ -8,9 +8,13 @@ Grammar (after the lexer's phrase merging):
     condition   := COLUMN COMPARATOR literal
     literal     := NUMBER | STRING_LITERAL
 
-A LOGICAL_AND in select position extends the select list only when the
-token after the following COLUMN is not a COMPARATOR; otherwise the
-sentence is rejected (conditions may not precede the WHERE introducer).
+An AND followed by COLUMN COMPARATOR does not extend the select list, so
+a condition before the WHERE introducer is rejected; no select column may
+repeat, and connectives group to the left. The IR prints as
+`VP[select(C, ...), of(T), where(P)]`, `of` and `where` only when present.
+A QueryParseError's position is a 0-based token index, with noise words
+dropped and a keyword phrase one token (`get the customer_name whose
+balance greater than` fails at token 5); a LexError's counts every word.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from typing import Optional, Union
 from .errors import QueryParseError
 from .lexer import Token, TokenKind
 
-# what the cursor reads past the last token; its kind is no TokenKind
+# what `parse` reads past the last token; its kind is no TokenKind
 _END = Token(None, "", "", -1)
+_CONNECTIVES = {TokenKind.LOGICAL_AND: "and", TokenKind.LOGICAL_OR: "or"}
 
 
 @dataclass(frozen=True)
@@ -51,23 +56,6 @@ class QueryIR:
     predicate: Optional[Predicate] = None
 
 
-class _TokenCursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, ahead=0):
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else _END
-
-    def take(self, kind, expected):
-        tok = self.peek()
-        if tok.kind is not kind:
-            raise QueryParseError(self.pos, expected, _describe(tok))
-        self.pos += 1
-        return tok
-
-
 def _describe(tok):
     if tok.kind is None:
         return "end of query"
@@ -75,51 +63,53 @@ def _describe(tok):
 
 
 def parse(tokens):
-    cur = _TokenCursor(tokens)
-    cur.take(TokenKind.VERB_SELECT, "a select verb (get/show/...)")
+    toks = [*tokens, _END, _END]  # the select-list rule looks two tokens ahead
+    pos = 0
 
-    select_columns = [cur.take(TokenKind.COLUMN, "a column name").target_lexeme]
+    def take(kind, expected):
+        nonlocal pos
+        tok = toks[pos]
+        if tok.kind is not kind:
+            raise QueryParseError(pos, expected, _describe(tok))
+        pos += 1
+        return tok.target_lexeme
+
+    take(TokenKind.VERB_SELECT, "a select verb (get/show/...)")
+    select_columns = [take(TokenKind.COLUMN, "a column name")]
     while (
-        cur.peek().kind is TokenKind.LOGICAL_AND
-        and cur.peek(1).kind is TokenKind.COLUMN
-        and cur.peek(2).kind is not TokenKind.COMPARATOR
+        toks[pos].kind is TokenKind.LOGICAL_AND
+        and toks[pos + 1].kind is TokenKind.COLUMN
+        and toks[pos + 2].kind is not TokenKind.COMPARATOR
     ):
-        cur.take(TokenKind.LOGICAL_AND, "'and'")
-        select_columns.append(cur.take(TokenKind.COLUMN, "a column name").target_lexeme)
-    if len(set(select_columns)) != len(select_columns):
-        raise QueryParseError(cur.pos, "distinct select columns", "a duplicate column")
+        pos += 1
+        if toks[pos].target_lexeme in select_columns:
+            raise QueryParseError(pos, "distinct select columns", _describe(toks[pos]))
+        select_columns.append(take(TokenKind.COLUMN, "a column name"))
 
     scope_table = None
-    if cur.peek().kind is TokenKind.OF:
-        cur.take(TokenKind.OF, "'of'")
-        scope_table = cur.take(TokenKind.TABLE, "a table name").target_lexeme
+    if toks[pos].kind is TokenKind.OF:
+        pos += 1
+        scope_table = take(TokenKind.TABLE, "a table name")
 
-    predicate = None
-    if cur.peek().kind is not None:
-        cur.take(TokenKind.WHERE_INTRO, "a where introducer (whose/where/...)")
-        predicate = _parse_condition(cur)
-        while cur.peek().kind in (TokenKind.LOGICAL_AND, TokenKind.LOGICAL_OR):
-            op = "and" if cur.peek().kind is TokenKind.LOGICAL_AND else "or"
-            cur.pos += 1
-            predicate = Connective(op, predicate, _parse_condition(cur))
-
-    if cur.peek().kind is not None:
-        raise QueryParseError(cur.pos, "end of query", _describe(cur.peek()))
+    predicate = op = None
+    if toks[pos].kind is not None:
+        take(TokenKind.WHERE_INTRO, "a where introducer (whose/where/...)")
+        while True:
+            column = take(TokenKind.COLUMN, "a column name")
+            comparator = take(TokenKind.COMPARATOR, "a comparator")
+            if toks[pos].kind is TokenKind.NUMBER:
+                literal = _parse_number(toks[pos].target_lexeme, pos)
+                pos += 1
+            else:
+                literal = take(TokenKind.STRING_LITERAL, "a number or quoted string")
+            comparison = Comparison(column, comparator, literal)
+            predicate = comparison if op is None else Connective(op, predicate, comparison)
+            op = _CONNECTIVES.get(toks[pos].kind)
+            if op is None:
+                break
+            pos += 1
+        take(None, "end of query")
     return QueryIR(tuple(select_columns), scope_table, predicate)
-
-
-def _parse_condition(cur):
-    column = cur.take(TokenKind.COLUMN, "a column name").target_lexeme
-    op = cur.take(TokenKind.COMPARATOR, "a comparator").target_lexeme
-    lit = cur.peek()
-    if lit.kind not in (TokenKind.NUMBER, TokenKind.STRING_LITERAL):
-        raise QueryParseError(cur.pos, "a number or quoted string", _describe(lit))
-    if lit.kind is TokenKind.NUMBER:
-        literal = _parse_number(lit.target_lexeme, cur.pos)
-    else:
-        literal = lit.target_lexeme
-    cur.pos += 1
-    return Comparison(column, op, literal)
 
 
 def _parse_number(text, position):
@@ -176,11 +166,7 @@ def fold_predicate(pred, leaf, join):
 
 
 def ir_to_text(ir):
-    """Canonical string form: VP[select(...)] or VP[select(...), where(P)]."""
-    select = "select(" + ", ".join(ir.select_columns) + ")"
-    if ir.predicate is None:
-        return f"VP[{select}]"
-
+    """Canonical text: VP[select(C, ...), of(T), where(P)], of and where only when present."""
     def leaf(c):
         return deque([f"{c.op}({c.column}, {format_literal(c.literal)})"])
 
@@ -189,5 +175,9 @@ def ir_to_text(ir):
         left.extend((", ", *right, ")"))
         return left
 
-    where = fold_predicate(ir.predicate, leaf, join)
-    return f"VP[{select}, where({''.join(where)})]"
+    parts = ["select(" + ", ".join(ir.select_columns) + ")"]
+    if ir.scope_table is not None:
+        parts.append(f"of({ir.scope_table})")
+    if ir.predicate is not None:
+        parts.append(f"where({''.join(fold_predicate(ir.predicate, leaf, join))})")
+    return "VP[" + ", ".join(parts) + "]"

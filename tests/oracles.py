@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used as test oracles.
 
 These deliberately share no code with the package internals: a
-character walk and a try-every-phrase loop for tokenizing, scans of
+character walk and a try-every-phrase loop for tokenizing, a walk over
+an explicit state table for parsing, scans of
 every table and column for name lookups, subset and simple-path
 enumeration for join planning, exhaustive path enumeration for HMM
 decoding, and a literal triple-loop executor.
@@ -9,9 +10,12 @@ decoding, and a literal triple-loop executor.
 
 import math
 import operator
+from fractions import Fraction
 from itertools import combinations, product
 
+from speakql.errors import QueryParseError
 from speakql.lexer import KEYWORD_MAP, NOISE_WORDS
+from speakql.parser import Comparison, Connective, QueryIR
 
 NEG_INF = float("-inf")
 
@@ -95,6 +99,82 @@ def reference_tokenize(text, lexicon):
                 raise UnknownWord(unit, i)
             i += 1
     return tokens
+
+
+# ------------------------------------------------------------------- parser
+
+# state -> (what the state expects, {token kind name: next state}). None is
+# the end of the token list; "AND COLUMN" is a LOGICAL_AND that continues
+# the select list, one followed by a COLUMN that no COMPARATOR follows.
+PARSE_TABLE = {
+    "verb": ("a select verb (get/show/...)", {"VERB_SELECT": "select column"}),
+    "select column": ("a column name", {"COLUMN": "select list"}),
+    "select list": (
+        "a where introducer (whose/where/...)",
+        {"AND COLUMN": "select column", "OF": "table", "WHERE_INTRO": "column", None: "done"},
+    ),
+    "table": ("a table name", {"TABLE": "scoped"}),
+    "scoped": ("a where introducer (whose/where/...)", {"WHERE_INTRO": "column", None: "done"}),
+    "column": ("a column name", {"COLUMN": "comparator"}),
+    "comparator": ("a comparator", {"COMPARATOR": "literal"}),
+    "literal": (
+        "a number or quoted string", {"NUMBER": "condition", "STRING_LITERAL": "condition"}
+    ),
+    "condition": ("end of query", {"LOGICAL_AND": "column", "LOGICAL_OR": "column", None: "done"}),
+}
+
+
+def reference_parse(tokens):
+    """QueryIR of a token list by a walk over PARSE_TABLE, or the
+    QueryParseError of the first token it has no move for, or of a
+    select column read a second time."""
+    kinds = [t.kind.name for t in tokens] + [None, None]
+    select, scope, predicate, condition, connective = [], None, None, [], None
+    state, i = "verb", 0
+    while state != "done":
+        kind = kinds[i]
+        if state == "select list" and kinds[i : i + 2] == ["LOGICAL_AND", "COLUMN"]:
+            if kinds[i + 2] != "COMPARATOR":
+                kind = "AND COLUMN"
+        found = "end of query" if kind is None else f"{kinds[i]}({tokens[i].source_lexeme!r})"
+        expected, moves = PARSE_TABLE[state]
+        if kind not in moves:
+            raise QueryParseError(i, expected, found)
+        target = None if kind is None else tokens[i].target_lexeme
+        if state == "select column":
+            if target in select:
+                raise QueryParseError(i, "distinct select columns", found)
+            select.append(target)
+        elif state == "table":
+            scope = target
+        elif state in ("column", "comparator"):
+            condition.append(target)
+        elif state == "literal":
+            literal = target if kind == "STRING_LITERAL" else _reference_number(target, i)
+            comparison = Comparison(*condition, literal)
+            if predicate is not None:
+                comparison = Connective(connective, predicate, comparison)
+            predicate, condition = comparison, []
+        elif state == "condition" and kind is not None:
+            connective = "and" if kind == "LOGICAL_AND" else "or"
+        state = moves[kind]
+        i += 1
+    return QueryIR(tuple(select), scope, predicate)
+
+
+def _reference_number(text, position):
+    """The exact value, as an int when it is whole; rejected when int()
+    cannot convert it, a float cannot hold it, or it rounds to 0.0."""
+    try:
+        exact = Fraction(text)
+        value = int(exact) if exact.denominator == 1 else float(exact)
+    except (ValueError, OverflowError):
+        value = None
+    if value is None or (value == 0) != (exact == 0):
+        raise QueryParseError(
+            position, "a number of representable size", f"a {len(text)}-character number"
+        )
+    return value
 
 
 # ------------------------------------------------------------- name lookups

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from speakql.errors import QueryParseError
+from speakql.errors import QueryParseError, SpeakqlError
 from speakql.lexer import tokenize
 from speakql.parser import Comparison, Connective, QueryIR, ir_to_text, parse
 
 import genqueries
+import oracles
 
 
 def parse_text(text, lexicon):
@@ -85,6 +86,12 @@ def test_duplicate_select_columns_rejected(bank_lexicon):
 def test_of_table_scope(bank_lexicon):
     ir = parse_text("get balance of account", bank_lexicon)
     assert ir.scope_table == "account"
+    assert ir_to_text(ir) == "VP[select(balance), of(account)]"
+    text = "get customer_name of depositor whose account_number equals 'A-101'"
+    ir = parse_text(text, bank_lexicon)
+    assert ir_to_text(ir) == (
+        "VP[select(customer_name), of(depositor), where(=(account_number, 'A-101'))]"
+    )
 
 
 def test_where_connectives_left_associative(bank_lexicon):
@@ -173,9 +180,52 @@ def test_parse_deterministic(bank_lexicon):
          "at token 7: expected a column name, found end of query"),
         ("get customer_name whose balance greater than 5 balance",
          "at token 6: expected end of query, found COLUMN('balance')"),
+        ("get balance and balance",
+         "at token 3: expected distinct select columns, found COLUMN('balance')"),
+        ("get customer_name and balance and customer_name whose balance greater than 5",
+         "at token 5: expected distinct select columns, found COLUMN('customer_name')"),
     ],
 )
 def test_parse_error_messages(bank_lexicon, text, message):
     with pytest.raises(QueryParseError) as exc:
         parse_text(text, bank_lexicon)
     assert str(exc.value) == message
+
+
+def spoil(rng, tokens, pool):
+    """Copy of `tokens` with one to three edits: a token deleted, replaced
+    or inserted from `pool`, or a pair such as `and balance` repeated."""
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(tokens) + 1)
+        edit = rng.randrange(4)
+        if edit == 0:
+            del tokens[i : i + 1]
+        elif edit == 1:
+            tokens[i : i + 1] = [rng.choice(pool)]
+        elif edit == 2:
+            tokens.insert(i, rng.choice(pool))
+        else:
+            tokens[i:i] = tokens[i : i + 2]
+    return tokens
+
+
+def parse_outcome(parse_tokens, tokens):
+    try:
+        return parse_tokens(tokens)
+    except SpeakqlError as exc:
+        return type(exc), exc.position, str(exc)
+
+
+def test_parse_matches_reference_parser(bank_schema, bank_lexicon):
+    pool = tokenize(
+        "get balance customer_name account of whose and or greater than equals 5 2.5 'Rye' "
+        + "9" * 400 + ".5",
+        bank_lexicon,
+    )
+    rng = random.Random(18)
+    for _ in range(5000):
+        query = genqueries.render(genqueries.random_query(rng, bank_schema))
+        tokens = tokenize(query, bank_lexicon)
+        for case in (tokens, spoil(rng, tokens, pool)):
+            assert parse_outcome(parse, case) == parse_outcome(oracles.reference_parse, case), case
