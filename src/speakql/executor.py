@@ -7,10 +7,13 @@ come out in the lexicographic order of source-row indices, tables taken
 in the plan's order, which is the FROM order of the emitted SQL.
 
 The product is never enumerated. Each top-level AND conjunct of the
-predicate that reads one table filters that table's rows first. If one
-of its comparisons keeps at most a quarter of the table, by a bisect of
-its column's sorted index, only the narrowest such range's rows are
-read; else every row is (Selinger et al., 1979, access path selection).
+predicate that reads one table filters that table's rows first. Each is
+folded to an estimate and the sorted-index ranges of the rows it keeps:
+a comparison is bisected, an OR sums and joins its children's, an AND
+takes its narrower child's; a comparison that cannot be bisected leaves
+its subtree none. If the smallest keeps at most a quarter of the table,
+only its ranges' rows are read, and it is tested again on them only if
+it holds an AND; else every row is (Selinger et al., 1979; Mohan et al., 1990).
 Each later table in plan order is then hash-joined to the combinations
 so far on the tuple of its columns that join conditions link to placed
 tables; rows with a null there are left out, and a table with no link
@@ -163,29 +166,41 @@ def _index(data, col):
         rows, data.indexes[col] = data.rows, None
         keep = (i for i, r in enumerate(rows) if r[col] is not None)
         with suppress(TypeError):
-            data.indexes[col] = array("q", sorted(keep, key=lambda i: rows[i][col]))
+            data.indexes[col] = array("i", sorted(keep, key=lambda i: rows[i][col]))
     return data.indexes[col]
 
 
 def _read(data, conjuncts, index_of):
     """The rows of `data` that pass every conjunct, in order, by the access path above."""
-    rows, paths = data.rows, []
-    for c in conjuncts:
-        if isinstance(c, Connective) or (index := _index(data, col := index_of(c))) is None:
-            continue
+    rows = data.rows
+
+    def leaf(c):  # (rows kept, index spans that hold them, exact), or None
+        if (index := _index(data, col := index_of(c))) is None:
+            return None
         try:
             lo = bisect_left(index, c.literal, key=(key := lambda i: rows[i][col]))
             hi = bisect_right(index, c.literal, lo, key=key)
         except TypeError:  # the literal does not sort with the column's values
-            continue
+            return None
         n = len(index)
         slices = {"=": [(lo, hi)], "<>": [(0, lo), (hi, n)], "<": [(0, lo)], "<=": [(0, hi)],
                   ">": [(hi, n)], ">=": [(lo, n)]}[c.op]
-        paths.append((sum(stop - start for start, stop in slices), c, index, slices))
-    if paths and 4 * (path := min(paths, key=lambda p: p[0]))[0] <= len(rows):
-        _, c, index, slices = path
-        rows = [rows[i] for i in sorted(i for start, stop in slices for i in index[start:stop])]
-        conjuncts = [x for x in conjuncts if x is not c]
+        return sum(stop - start for start, stop in slices), [(index, s) for s in slices], True
+
+    def join(node, left, right):  # OR: both children's rows; AND: the narrower child's
+        if left is None or right is None:
+            return None
+        if node.op == "and":
+            return *min(left, right, key=lambda p: p[0])[:2], False
+        left[1].extend(right[1])  # in place, so a long OR chain folds in linear time
+        return left[0] + right[0], left[1], left[2] and right[2]
+
+    paths = [(p, c) for c in conjuncts if (p := fold_predicate(c, leaf, join)) is not None]
+    if paths and 4 * (path := min(paths, key=lambda p: p[0][0]))[0][0] <= len(rows):
+        (_, spans, exact), c = path
+        rows = [rows[i] for i in sorted({i for index, (start, stop) in spans
+                                         for i in index[start:stop]})]
+        conjuncts = [x for x in conjuncts if x is not c or not exact]
     for conjunct in conjuncts:
         rows = _filter(rows, conjunct, index_of)
     return rows

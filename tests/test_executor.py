@@ -212,6 +212,24 @@ def test_projection_never_invents_values(bank_dataset, bank_schema, bank_graph, 
         assert balance in balances
 
 
+def test_projection_shapes(bank_dataset):
+    """One selected column gives 1-tuples; no rows give the empty tuple,
+    with a predicate that keeps none and with a join that matches none."""
+    def rows(select, pred, plan):
+        return execute(ResolvedQuery(select, pred, plan), bank_dataset).rows
+
+    account = JoinPlan(("account",), ())
+    got = rows((("account", "balance"),), BoundComparison("account", "balance", ">", 800), account)
+    assert got == tuple((r[2],) for r in bank_dataset.tables["account"].rows if r[2] > 800)
+    assert got and all(type(r) is tuple and len(r) == 1 for r in got)
+    assert rows((("account", "balance"),), BoundComparison("account", "balance", ">", 1e9),
+                account) == ()
+    joined = JoinPlan(("account", "depositor"),
+                      (("account", "account_number", "depositor", "account_number"),))
+    assert rows((("account", "balance"), ("depositor", "customer_name")),
+                BoundComparison("depositor", "customer_name", "=", "Nobody"), joined) == ()
+
+
 def test_matches_reference_on_randomized_plans(bank_schema, bank_graph, bank_dataset):
     from speakql.schema import join_path
 
