@@ -5,11 +5,11 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ResolveError
 from .parser import Connective, Predicate, fold_predicate, format_literal
-from .schema import join_path, tables_owning
+from .schema import join_path
 
 NUMERIC_OPS = (">", "<", ">=", "<=")
 
@@ -27,8 +27,7 @@ SQL_KEYWORDS = frozenset("""
 """.split())
 
 
-@dataclass(frozen=True)
-class BoundComparison:
+class BoundComparison(NamedTuple):
     table: str
     column: str
     op: str
@@ -85,24 +84,24 @@ def _render_predicate(pred, col_ref):
 
 def resolve(ir, schema, graph):
     """Bind every column to its owning table and compute the join plan."""
+    scope = None if ir.scope_table is None else schema.table(ir.scope_table)
 
     def owner_of(column):
+        """The table the column binds to, and its `Column` there."""
         if ir.scope_table is not None:
-            table = schema.table(ir.scope_table)
-            if table is not None and table.column(column) is not None:
-                return table.name
+            if scope is not None and (col := scope.column(column)) is not None:
+                return scope, col
             raise ResolveError(f"table {ir.scope_table!r} does not own column {column!r}")
-        owners = tables_owning(schema, column)
+        owners = schema.binding_owners.get(column.lower())
         if not owners:
             raise ResolveError(f"no table owns column {column!r}")
-        return owners[0]
+        return owners[0], owners[0].column(column)
 
-    select_refs = tuple([(owner_of(c), c) for c in ir.select_columns])
+    select_refs = tuple([(owner_of(c)[0].name, c) for c in ir.select_columns])
     required = {t for t, _ in select_refs}
 
     def bind(pred):
-        table = owner_of(pred.column)
-        kind = schema.table(table).column(pred.column)
+        table, kind = owner_of(pred.column)
         is_number = isinstance(pred.literal, (int, float)) and not isinstance(pred.literal, bool)
         if pred.op in NUMERIC_OPS and (not kind.is_numeric or not is_number):
             raise ResolveError(
@@ -115,8 +114,8 @@ def resolve(ir, schema, graph):
                 f"literal {pred.literal!r} does not match "
                 f"{kind.value_kind} column {pred.column!r}"
             )
-        required.add(table)
-        return BoundComparison(table, pred.column, pred.op, pred.literal)
+        required.add(table.name)
+        return BoundComparison(table.name, pred.column, pred.op, pred.literal)
 
     predicate_refs = None
     if ir.predicate is not None:

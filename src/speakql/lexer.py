@@ -4,15 +4,18 @@ The lexicon mirrors the schema's column and table names; the keyword and
 noise tables are fixed. One compiled scanner tries four rules at each
 unit, in order: a quoted string, a keyword phrase of two or more words
 (longest first), a number, any other unit. Only phrase words fold case
-as ASCII; every other unit is looked up by its `str.lower()` as a
-keyword, a column, a table or a noise word, and noise words are dropped.
+as ASCII; every other unit is looked up by its `str.lower()` in the
+lexicon's one word table, which holds the keywords, then the columns,
+then the tables, then the noise words, each shadowing those after it.
+Noise words are dropped.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import LexError, LexiconCollisionError
 
@@ -30,8 +33,7 @@ class TokenKind(Enum):
     OF = "OF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     source_lexeme: str
     target_lexeme: str
@@ -91,6 +93,16 @@ _SCANNER = re.compile(
 class Lexicon:
     column_spelling: dict  # lowercase -> schema spelling
     table_spelling: dict
+    # lowercase word -> (kind, target), derived from the two above; a
+    # noise word's kind is None
+    words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table, column = TokenKind.TABLE, TokenKind.COLUMN
+        self.words.update(dict.fromkeys(NOISE_WORDS, (None, None)))
+        self.words.update({w: (table, t) for w, t in self.table_spelling.items()})
+        self.words.update({w: (column, c) for w, c in self.column_spelling.items()})
+        self.words.update(KEYWORD_MAP)
 
 
 def generate_lexicon(schema):
@@ -109,12 +121,13 @@ def tokenize(query_text, lexicon):
     """Map the query to a token list; noise words are dropped, multi-word
     keyword phrases are consumed as single tokens (longest match wins)."""
     tokens = []
+    words, tables = lexicon.words, lexicon.table_spelling
     i = 0  # word index of the unit in hand
     for quoted, phrase, number, unit in _SCANNER.findall(query_text):
         width = 1
         if phrase:  # its source is its words joined by one space
-            words = phrase.split()
-            unit, width = " ".join(words), len(words)
+            parts = phrase.split()
+            unit, width = " ".join(parts), len(parts)
         if quoted and not _SURROGATE_RE.search(quoted):  # else an unknown word
             tokens.append(Token(TokenKind.STRING_LITERAL, quoted, quoted[1:-1], i))
         elif number:
@@ -122,17 +135,14 @@ def tokenize(query_text, lexicon):
         else:
             unit = unit or quoted
             word = unit.lower()
-            if word in KEYWORD_MAP:
-                kind, target = KEYWORD_MAP[word]
-                tokens.append(Token(kind, unit, target, i))
-            elif word in lexicon.column_spelling and not (  # `of` takes only a table
-                word in lexicon.table_spelling and tokens and tokens[-1].kind is TokenKind.OF
-            ):
-                tokens.append(Token(TokenKind.COLUMN, unit, lexicon.column_spelling[word], i))
-            elif word in lexicon.table_spelling:
-                tokens.append(Token(TokenKind.TABLE, unit, lexicon.table_spelling[word], i))
-            # noise words cannot be numbers or, by the collision check, identifiers
-            elif word not in NOISE_WORDS:
+            hit = words.get(word)
+            if hit is None:
                 raise LexError(unit, i)
+            kind, target = hit
+            if (kind is TokenKind.COLUMN and tokens and tokens[-1].kind is TokenKind.OF
+                    and word in tables):  # `of` takes only a table
+                kind, target = TokenKind.TABLE, tables[word]
+            if kind is not None:
+                tokens.append(Token(kind, unit, target, i))
         i += width
     return tokens

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import QueryParseError
 from .lexer import Token, TokenKind
@@ -32,8 +32,7 @@ _END = Token(None, "", "", -1)
 _CONNECTIVES = {TokenKind.LOGICAL_AND: "and", TokenKind.LOGICAL_OR: "or"}
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     column: str
     op: str
     literal: Union[int, float, str]
@@ -153,15 +152,18 @@ def fold_predicate(pred, leaf, join):
     connective with the values of its two children.
 
     The parser grows the tree's left spine by one connective per
-    condition, so the spine is walked in a loop and only right children,
-    always comparisons in a parsed tree, recurse."""
+    condition, so the spine is walked in a loop. A right child is always
+    a comparison in a parsed tree and goes straight to `leaf`; only a
+    connective there, as in a hand-built tree, recurses."""
     spine = []
     while isinstance(pred, Connective):
         spine.append(pred)
         pred = pred.left
     value = leaf(pred)
     for node in reversed(spine):
-        value = join(node, value, fold_predicate(node.right, leaf, join))
+        right = node.right
+        value = join(node, value, fold_predicate(right, leaf, join)
+                     if isinstance(right, Connective) else leaf(right))
     return value
 
 

@@ -2,7 +2,8 @@
 
 Names are case-insensitive: the schema's name index, built once,
 maps lower-cased table names to tables, each table's column names to
-columns, and column names to owning tables in declaration order.
+columns, and column names to owning tables, both in declaration order
+and in the order a column binds to them (entity tables first).
 
 Tables are connected whenever they share a column name; joins are
 equalities on those shared names. A graph indexes each table's
@@ -81,6 +82,8 @@ class Schema:
     tables: tuple[Table, ...]
     tables_by_name: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     owners_by_column: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the same owners, entity tables first, declaration order within each kind
+    binding_owners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for t in self.tables:
@@ -89,6 +92,9 @@ class Schema:
             self.tables_by_name[t.name.lower()] = t
             for column_name in t.columns_by_name:
                 self.owners_by_column.setdefault(column_name, []).append(t)
+        for t in sorted(self.tables, key=lambda t: t.kind != "entity"):
+            for column_name in t.columns_by_name:
+                self.binding_owners.setdefault(column_name, []).append(t)
 
     def table(self, name):
         return self.tables_by_name.get(name.lower())
@@ -163,10 +169,10 @@ def build_graph(schema):
 
 
 def tables_owning(schema, column_name):
-    """All tables containing the column: entity tables first, then
-    relationship tables, declaration order within each group."""
-    owners = schema.owners_by_column.get(column_name.lower(), ())
-    return [t.name for t in sorted(owners, key=lambda t: t.kind != "entity")]
+    """The names of all tables containing the column, in a new list:
+    entity tables first, then relationship tables, declaration order
+    within each group."""
+    return [t.name for t in schema.binding_owners.get(column_name.lower(), ())]
 
 
 def _attach(adjacency, selected, table):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from speakql.errors import LexError, LexiconCollisionError
-from speakql.lexer import TokenKind, generate_lexicon, tokenize
+from speakql.lexer import Lexicon, TokenKind, generate_lexicon, tokenize
 from speakql.schema import load_schema
 
 import genqueries
@@ -31,6 +31,43 @@ def test_reserved_identifier_collision():
     schema = load_schema("tables:\n  - name: t\n    columns: [{name: get, type: text}]\n")
     with pytest.raises(LexiconCollisionError):
         generate_lexicon(schema)
+
+
+def test_hand_built_lexicon_tokenizes():
+    """A lexicon built from its two spelling maps alone gets the derived
+    word table: keywords shadow columns, columns shadow tables except
+    right after `of`, and any of them shadows a noise word."""
+    lexicon = Lexicon(
+        column_spelling={"amount": "Amount", "sale": "SaleId", "and": "And", "the": "The"},
+        table_spelling={"sale": "Sale"},
+    )
+    tokens = tokenize("get Amount and the of SALE whose sale equals 3", lexicon)
+    assert [tuple(t) for t in tokens] == [
+        (TokenKind.VERB_SELECT, "get", "select", 0),
+        (TokenKind.COLUMN, "Amount", "Amount", 1),
+        (TokenKind.LOGICAL_AND, "and", "and", 2),
+        (TokenKind.COLUMN, "the", "The", 3),
+        (TokenKind.OF, "of", "of", 4),
+        (TokenKind.TABLE, "SALE", "Sale", 5),
+        (TokenKind.WHERE_INTRO, "whose", "where", 6),
+        (TokenKind.COLUMN, "sale", "SaleId", 7),
+        (TokenKind.COMPARATOR, "equals", "=", 8),
+        (TokenKind.NUMBER, "3", "3", 9),
+    ]
+    with pytest.raises(LexError) as exc:
+        tokenize("get amount of balance", lexicon)
+    assert (exc.value.word, exc.value.position) == ("balance", 3)
+
+
+def test_lexicons_with_equal_spellings_are_equal(bank_schema, bank_lexicon):
+    """The derived word table takes no part in equality or repr."""
+    by_hand = Lexicon(dict(bank_lexicon.column_spelling), dict(bank_lexicon.table_spelling))
+    assert by_hand == bank_lexicon == generate_lexicon(bank_schema)
+    assert by_hand != Lexicon(dict(bank_lexicon.column_spelling), {})
+    assert repr(by_hand) == (
+        f"Lexicon(column_spelling={by_hand.column_spelling!r}, "
+        f"table_spelling={by_hand.table_spelling!r})"
+    )
 
 
 def test_get_the_branch_name(bank_lexicon):

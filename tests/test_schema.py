@@ -128,6 +128,20 @@ def test_tables_owning(bank_schema):
     assert tables_owning(bank_schema, "no_such_column") == []
 
 
+def test_tables_owning_returns_a_fresh_list(bank_schema):
+    """A caller that mutates the list does not change later answers."""
+    owners = tables_owning(bank_schema, "customer_name")
+    owners.reverse()
+    owners.append("loan")
+    assert tables_owning(bank_schema, "customer_name") == ["customer", "borrower", "depositor"]
+    assert tables_owning(bank_schema, "customer_name") is not tables_owning(
+        bank_schema, "customer_name"
+    )
+    assert tables_owning(bank_schema, "no_such_column") is not tables_owning(
+        bank_schema, "no_such_column"
+    )
+
+
 def test_entity_tables_precede_relationship_tables(bank_schema):
     for column in {c.name for t in bank_schema.tables for c in t.columns}:
         owners = tables_owning(bank_schema, column)
