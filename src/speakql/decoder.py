@@ -6,10 +6,17 @@ lexicographically smallest word sequence, then the smallest state path,
 so decoding is fully deterministic and comparable against exhaustive
 enumeration oracles.
 
+Each `WordHmm` derives its log tables when it is made: its entry and
+emission logs by symbol, its moves with their logs, its exit logs, each
+holding only probabilities > 0. Each `GrammarFsa` derives its arcs by
+source state. Decoding reads only these and calls no `math.log`.
+
 `decode_sentence` walks observation positions in order. From each
 position that some grammar state has reached, it runs one Viterbi pass
 per word on the arcs leaving those states, shared by every such arc, and
-ends the pass at the frame where no state of the word survives. Every
+ends the pass at the frame where no state of the word survives. A word
+none of whose entry states can emit the position's symbol starts no
+pass there, since that pass could end nowhere. Every
 state path is held as a value, a tuple compared with `<`. The steps are
 linear in the frames times the span a word survives; each step copies a
 path of up to that span, and each kept prefix one of up to its frames.
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import load_yaml, section
 from .errors import DecodeError, ModelConfigError
@@ -57,6 +64,28 @@ class WordHmm:
     transitions: dict  # state index -> tuple of (state index, probability)
     entry: tuple  # (state index, probability) pairs
     exit: dict  # state index -> probability
+    # log tables derived from the above, holding only probabilities > 0:
+    # symbol -> {entry state: log entry + log emission}
+    log_entry: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # state -> tuple of (state, log transition, its {symbol: log emission})
+    log_moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # state -> log exit
+    log_exit: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        log = math.log
+        emits = [{s: log(e) for s, e in st.emissions.items() if e > 0.0} for st in self.states]
+        for idx, p in self.entry:
+            if p > 0.0:
+                for symbol, e in emits[idx].items():
+                    score, cell = log(p) + e, self.log_entry.setdefault(symbol, {})
+                    if score > cell.get(idx, NEG_INF):
+                        cell[idx] = score
+        self.log_moves.update(
+            (src, tuple([(dst, log(p), emits[dst]) for dst, p in row if p > 0.0]))
+            for src, row in self.transitions.items()
+        )
+        self.log_exit.update((idx, log(p)) for idx, p in self.exit.items() if p > 0.0)
 
 
 @dataclass(frozen=True)
@@ -65,6 +94,12 @@ class GrammarFsa:
     start: str
     accepting: frozenset
     arcs: tuple  # (from state, word, to state)
+    # from state -> list of (word, to state), derived from `arcs`
+    arcs_from: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for src, word, dst in self.arcs:
+            self.arcs_from.setdefault(src, []).append((word, dst))
 
 
 @dataclass(frozen=True)
@@ -194,24 +229,17 @@ def _word_ends(observations, start, hmm):
     can exit, until no state survives or the observations end. A live
     state holds (score, path), the path a tuple of state indices, and
     scores are the float sums of exhaustive enumeration, in its order."""
-    states, transitions, exits = hmm.states, hmm.transitions, hmm.exit
-    log = math.log
+    moves, exits = hmm.log_moves, hmm.log_exit
     ends = []
-    symbol = observations[start]
-    cells = {}  # state -> (best log probability, its state path) at this frame
-    for idx, p in hmm.entry:
-        e = states[idx].emissions.get(symbol, 0.0)
-        if p > 0.0 and e > 0.0:
-            score = log(p) + log(e)
-            if idx not in cells or score > cells[idx][0]:
-                cells[idx] = (score, (idx,))
+    # state -> (best log probability, its state path) at this frame
+    cells = {idx: (score, (idx,))
+             for idx, score in hmm.log_entry.get(observations[start], {}).items()}
     end, n = start + 1, len(observations)
     while cells:
         best, best_path = NEG_INF, None
         for idx, (score, path) in cells.items():
-            p = exits.get(idx, 0.0)
-            if p > 0.0:
-                total = score + log(p)
+            if idx in exits:
+                total = score + exits[idx]
                 if total > best or (total == best and path < best_path):
                     best, best_path = total, path
         if best_path is not None:
@@ -221,10 +249,10 @@ def _word_ends(observations, start, hmm):
         symbol = observations[end]
         nxt = {}
         for src, (score, path) in cells.items():
-            for dst, p in transitions.get(src, ()):
-                e = states[dst].emissions.get(symbol, 0.0)
-                if p > 0.0 and e > 0.0:
-                    step = score + log(p) + log(e)
+            for dst, p, emits in moves.get(src, ()):
+                e = emits.get(symbol)
+                if e is not None:
+                    step = score + p + e
                     old = nxt.get(dst)
                     if old is None or step > old[0] or (step == old[0] and path < old[1][:-1]):
                         nxt[dst] = (step, path + (dst,))
@@ -253,7 +281,9 @@ def decode_sentence(observations, hmms, fsa):
     Exact dynamic program over (observation position, grammar state); the
     grammar is unweighted so only acoustic likelihoods rank decodings.
     Each word is scored by one `_word_ends` pass per start position,
-    shared by every arc that uses it. A (position, grammar state) cell
+    shared by every arc that uses it, over the log tables the models
+    built when they were made; a word whose entry cannot emit the
+    position's symbol gets no pass there. A (position, grammar state) cell
     keeps its best score and, per word count, the smallest prefix (words,
     state path) that reaches it, compared as tuples: that order survives
     a common extension only between word sequences of equal length.
@@ -261,21 +291,22 @@ def decode_sentence(observations, hmms, fsa):
     if not observations:
         raise ValueError("observations must be nonempty")
     by_name = {h.word: h for h in hmms}
-    arcs_from = {}
-    for src, word, dst in fsa.arcs:
-        arcs_from.setdefault(src, []).append((word, dst))
+    arcs_from = fsa.arcs_from
     n = len(observations)
 
     # cells[pos][grammar state] = (score, {word count: (words, state path)})
     cells = [{} for _ in range(n + 1)]
     cells[0][fsa.start] = (0.0, {0: ((), ())})
     for i in range(n):
+        symbol = observations[i]
         passes = {}
         for state, (score, prefixes) in cells[i].items():
             for word, dst in arcs_from.get(state, ()):
                 ends = passes.get(word)
                 if ends is None:
-                    ends = passes[word] = _word_ends(observations, i, by_name[word])
+                    hmm = by_name[word]
+                    ends = passes[word] = (
+                        _word_ends(observations, i, hmm) if symbol in hmm.log_entry else ())
                 for end, wscore, path in ends:
                     _extend(cells[end], dst, score + wscore, prefixes, word, path)
         cells[i] = None

@@ -25,11 +25,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import QueryParseError
-from .lexer import Token, TokenKind
+from .lexer import (
+    COLUMN, COMPARATOR, LOGICAL_AND, LOGICAL_OR, NUMBER, OF, STRING_LITERAL, TABLE,
+    VERB_SELECT, WHERE_INTRO, Token,
+)
 
 # what `parse` reads past the last token; its kind is no TokenKind
 _END = Token(None, "", "", -1)
-_CONNECTIVES = {TokenKind.LOGICAL_AND: "and", TokenKind.LOGICAL_OR: "or"}
+_CONNECTIVES = {LOGICAL_AND: "and", LOGICAL_OR: "or"}
 
 
 class Comparison(NamedTuple):
@@ -73,34 +76,34 @@ def parse(tokens):
         pos += 1
         return tok.target_lexeme
 
-    take(TokenKind.VERB_SELECT, "a select verb (get/show/...)")
-    select_columns = [take(TokenKind.COLUMN, "a column name")]
+    take(VERB_SELECT, "a select verb (get/show/...)")
+    select_columns = [take(COLUMN, "a column name")]
     while (
-        toks[pos].kind is TokenKind.LOGICAL_AND
-        and toks[pos + 1].kind is TokenKind.COLUMN
-        and toks[pos + 2].kind is not TokenKind.COMPARATOR
+        toks[pos].kind is LOGICAL_AND
+        and toks[pos + 1].kind is COLUMN
+        and toks[pos + 2].kind is not COMPARATOR
     ):
         pos += 1
         if toks[pos].target_lexeme in select_columns:
             raise QueryParseError(pos, "distinct select columns", _describe(toks[pos]))
-        select_columns.append(take(TokenKind.COLUMN, "a column name"))
+        select_columns.append(take(COLUMN, "a column name"))
 
     scope_table = None
-    if toks[pos].kind is TokenKind.OF:
+    if toks[pos].kind is OF:
         pos += 1
-        scope_table = take(TokenKind.TABLE, "a table name")
+        scope_table = take(TABLE, "a table name")
 
     predicate = op = None
     if toks[pos].kind is not None:
-        take(TokenKind.WHERE_INTRO, "a where introducer (whose/where/...)")
+        take(WHERE_INTRO, "a where introducer (whose/where/...)")
         while True:
-            column = take(TokenKind.COLUMN, "a column name")
-            comparator = take(TokenKind.COMPARATOR, "a comparator")
-            if toks[pos].kind is TokenKind.NUMBER:
+            column = take(COLUMN, "a column name")
+            comparator = take(COMPARATOR, "a comparator")
+            if toks[pos].kind is NUMBER:
                 literal = _parse_number(toks[pos].target_lexeme, pos)
                 pos += 1
             else:
-                literal = take(TokenKind.STRING_LITERAL, "a number or quoted string")
+                literal = take(STRING_LITERAL, "a number or quoted string")
             comparison = Comparison(column, comparator, literal)
             predicate = comparison if op is None else Connective(op, predicate, comparison)
             op = _CONNECTIVES.get(toks[pos].kind)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from speakql import lexer
 from speakql.errors import LexError, LexiconCollisionError
 from speakql.lexer import Lexicon, TokenKind, generate_lexicon, tokenize
 from speakql.schema import load_schema
@@ -16,6 +17,11 @@ def kinds(tokens):
 
 def targets(tokens):
     return [t.target_lexeme for t in tokens]
+
+
+def test_each_kind_is_a_module_name():
+    for kind in TokenKind:
+        assert getattr(lexer, kind.name) is kind
 
 
 def test_lexicon_mirrors_schema(bank_schema, bank_lexicon):
