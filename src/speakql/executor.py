@@ -14,13 +14,18 @@ takes its narrower child's; a comparison that cannot be bisected leaves
 its subtree none. If the smallest keeps at most a quarter of the table,
 only its ranges' rows are read, and it is tested again on them only if
 it holds an AND; else every row is (Selinger et al., 1979; Mohan et al., 1990).
-Each later table in plan order is then hash-joined to the combinations
-so far on the tuple of its columns that join conditions link to placed
-tables; rows with a null there are left out, and a table with no link
-has the empty key, so its one bucket crosses it. In a `join_path` plan
-every later table links to one already placed, so no table is crossed.
-Each step keeps rows in source order, so no sort is needed. The
-remaining conjuncts, ORs that span tables, filter the joined rows.
+Tables are read smallest first, ties in plan order, and the first that
+keeps no row ends the query with no rows, so no larger table is read: an
+empty input empties the join (the simplest semijoin reduction, Yannakakis,
+1981). Each later table in plan order is then hash-joined to the
+combinations so far on its columns that join conditions link to placed
+tables: one link keys by its value, several by the tuple of their values;
+rows with a null there are left out, and a table with no link has the
+empty key, so its one bucket crosses it. In a `join_path` plan every later
+table links to one already placed, so no table is crossed. Each step keeps
+rows in source order, so no sort is needed. The remaining conjuncts, ORs
+that span tables, filter the joined rows, and the select list is built one
+column at a time over them (late materialisation, Abadi et al., 2007).
 """
 
 from __future__ import annotations
@@ -221,8 +226,13 @@ def execute(rq, ds):
     local, residual = {t: [] for t in plan.tables}, []
     for conjunct, tables in _conjuncts(rq.predicate_refs):
         (local[[*tables][0]] if len(tables) == 1 else residual).append(conjunct)
-    rows = {t: _read(ds.tables[t], conjuncts, lambda c: column(c.table, c.column))
-            for t, conjuncts in local.items()}
+    rows = {}
+    # smallest first, ties in plan order: a table that keeps no row empties
+    # the join, and no larger table is read
+    for t in sorted(plan.tables, key=lambda t: len(ds.tables[t].rows)):
+        rows[t] = _read(ds.tables[t], local[t], lambda c: column(c.table, c.column))
+        if not rows[t]:
+            return ResultSet(rq.select_refs, ())
 
     # a combination concatenates its rows, table t's starting at offset[t]
     first, *rest = plan.tables
@@ -234,18 +244,22 @@ def execute(rq, ds):
             for own, own_col, other, other_col in ((lt, lc, rt, rc), (rt, rc, lt, lc))
             if own == t and other in offset
         ]
-        # the leading empty slice makes each key a tuple, for any number of links
-        probe = operator.itemgetter(slice(0), *[placed for placed, _ in links])
-        key = operator.itemgetter(slice(0), *[own for _, own in links])
+        # one link keys by its value; else a leading empty slice makes each
+        # key a tuple, for zero links or several
+        one = len(links) == 1
+        lead = [] if one else [slice(0)]
+        probe = operator.itemgetter(*lead, *[placed for placed, _ in links])
+        key = operator.itemgetter(*lead, *[own for _, own in links])
         matches = {}
         for r in rows[t]:
-            if None not in (k := key(r)):
+            if (k := key(r)) is not None and (one or None not in k):
                 matches.setdefault(k, []).append(r)
-        combos = [c + r for c in combos for r in matches.get(probe(c), ())]
+        combos = [c + r for c, k in zip(combos, map(probe, combos)) for r in matches.get(k, ())]
         offset[t] = width
         width += len(ds.tables[t].header)
 
     for conjunct in residual:
         combos = _filter(combos, conjunct, lambda c: offset[c.table] + column(c.table, c.column))
-    select = [offset[t] + column(t, c) for t, c in rq.select_refs]
-    return ResultSet(rq.select_refs, tuple([tuple([c[i] for i in select]) for c in combos]))
+    select = [operator.itemgetter(offset[t] + column(t, c)) for t, c in rq.select_refs]
+    # one column at a time; a tuple built through a list is not over-allocated
+    return ResultSet(rq.select_refs, tuple([*zip(*[map(get, combos) for get in select])]))

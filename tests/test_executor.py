@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from speakql import executor
 from speakql.builder import BoundComparison, ResolvedQuery, generate_sql, resolve
 from speakql.cli import main
 from speakql.errors import DatasetError, ResolveError
@@ -190,6 +191,59 @@ def test_later_table_with_two_placed_links(bank_graph):
     assert list(execute(rq, ds).rows) == oracles.reference_execute(rq, ds) == want
 
 
+def record_reads(monkeypatch):
+    """A list that gets (table data, rows kept) for each executor._read call."""
+    reads, read = [], executor._read
+
+    def recording(data, conjuncts, index_of):
+        rows = read(data, conjuncts, index_of)
+        reads.append((data, rows))
+        return rows
+
+    monkeypatch.setattr(executor, "_read", recording)
+    return reads
+
+
+def test_empty_input_stops_the_reads(monkeypatch):
+    # the small table, later in the plan, keeps no row, so the large one
+    # is never read: no call, and no index built for its own conjunct
+    big = TableData(("k", "n"), tuple((i % 3, i) for i in range(60)))
+    small = TableData(("k", "s"), ((0, "x"), (1, "y"), (2, "z")))
+    ds = Dataset({"big": big, "small": small})
+    rq = ResolvedQuery(
+        (("big", "n"), ("small", "s")),
+        Connective("and", BoundComparison("big", "n", "<", 5),
+                   BoundComparison("small", "s", "=", "nowhere")),
+        JoinPlan(("big", "small"), (("big", "k", "small", "k"),)),
+    )
+    reads = record_reads(monkeypatch)
+    assert execute(rq, ds).rows == () and oracles.reference_execute(rq, ds) == []
+    assert [data for data, _ in reads] == [small]
+    assert big.indexes == {}
+
+
+def test_one_link_matches_integer_with_real():
+    # an integer key and a real key link by numeric value, as in SQL
+    ds = Dataset({"ta": TableData(("k", "a"), ((1, "a1"), (2, "a2"), (3, "a3"))),
+                  "tb": TableData(("k", "b"), ((1.0, "b1"), (2.5, "b2"), (3.0, "b3"), (1.0, "b4")))})
+    rq = ResolvedQuery((("ta", "a"), ("tb", "b"), ("tb", "k")), None,
+                       JoinPlan(("ta", "tb"), (("ta", "k", "tb", "k"),)))
+    want = [("a1", "b1", 1.0), ("a1", "b4", 1.0), ("a3", "b3", 3.0)]
+    assert list(execute(rq, ds).rows) == oracles.reference_execute(rq, ds) == want
+    assert sqlite_rows(ds, generate_sql(rq).text) == want
+
+
+@pytest.mark.parametrize("side", ["probe", "build", "both"])
+def test_null_one_link_key_never_joins(side):
+    ta = [(1, "a1"), (2, "a2")] + [(None, "a-null")] * (side != "build")
+    tb = [(2, "b2"), (1, "b1")] + [(None, "b-null")] * (side != "probe")
+    ds = Dataset({"ta": TableData(("k", "a"), tuple(ta)), "tb": TableData(("k", "b"), tuple(tb))})
+    rq = ResolvedQuery((("ta", "a"), ("tb", "b")), None,
+                       JoinPlan(("ta", "tb"), (("ta", "k", "tb", "k"),)))
+    want = [("a1", "b1"), ("a2", "b2")]
+    assert list(execute(rq, ds).rows) == oracles.reference_execute(rq, ds) == want
+
+
 def test_null_comparisons_are_false(tmp_path):
     (tmp_path / "t.csv").write_text("a,n\nx,\ny,5\n", encoding="utf-8")
     ds = load_dataset(tmp_path, _mini_schema())
@@ -230,7 +284,8 @@ def test_projection_shapes(bank_dataset):
                 BoundComparison("depositor", "customer_name", "=", "Nobody"), joined) == ()
 
 
-def test_matches_reference_on_randomized_plans(bank_schema, bank_graph, bank_dataset):
+def test_matches_reference_on_randomized_plans(bank_schema, bank_graph, bank_dataset,
+                                               monkeypatch):
     from speakql.schema import join_path
 
     rng = random.Random(515)
@@ -239,18 +294,22 @@ def test_matches_reference_on_randomized_plans(bank_schema, bank_graph, bank_dat
         ("customer", "customer_name"), ("account", "branch_name"),
         ("depositor", "account_number"), ("borrower", "loan_number"),
     ]
+    reads = record_reads(monkeypatch)
+    emptied = Counter()  # joins where a conjunct empties a table: is it the first?
     for _ in range(50):
         refs = rng.sample(numeric + text, rng.randint(1, 3))
         pred = None
         if rng.random() < 0.8:
             table, col = rng.choice(refs)
             is_num = (table, col) in numeric
+            # -1, 10**9 and "Nobody" lie outside every table's values
             if is_num:
                 pred = BoundComparison(table, col, rng.choice([">", "<", ">=", "<="]),
-                                       rng.choice([700, 1300, 5000]))
+                                       rng.choice([700, 1300, 5000, -1, 10**9]))
             else:
                 pred = BoundComparison(table, col, rng.choice(["=", "<>"]),
-                                       rng.choice(["Adams", "A-222", "L-16", "Downtown"]))
+                                       rng.choice(["Adams", "A-222", "L-16", "Downtown",
+                                                   "Nobody"]))
             if rng.random() < 0.3:
                 other = BoundComparison("account", "balance", ">", 600)
                 children = rng.choice([(pred, other), (other, pred)])
@@ -260,9 +319,14 @@ def test_matches_reference_on_randomized_plans(bank_schema, bank_graph, bank_dat
             tables |= {c.table for c in _comparisons(pred)}
         plan = join_path(bank_graph, tables)
         rq = ResolvedQuery(tuple(refs), pred, plan)
+        reads.clear()
         got = execute(rq, bank_dataset)
         want = oracles.reference_execute(rq, bank_dataset)
         assert list(got.rows) == want
+        empty = [data for data, rows in reads if not rows]
+        if empty and len(plan.tables) > 1:
+            emptied[empty[0] is bank_dataset.tables[plan.tables[0]]] += 1
+    assert emptied[True] >= 3 and emptied[False] >= 3, emptied
 
 
 def _comparisons(pred):
@@ -371,23 +435,28 @@ def generated_bank_dataset(rng, schema):
 
 
 def random_comparison(rng, schema):
+    """A comparison whose literal is one time in five outside every value
+    generated_bank_dataset draws, so that no row may pass it."""
     table = rng.choice(schema.tables)
     column = rng.choice(table.columns)
+    outside = rng.random() < 0.2
     if column.is_numeric:
         return BoundComparison(table.name, column.name,
                                rng.choice(["=", "<>", ">", "<", ">=", "<="]),
-                               rng.choice([700, 1000]))
+                               rng.choice([-1, 10**9] if outside else [700, 1000]))
     return BoundComparison(table.name, column.name, rng.choice(["=", "<>"]),
-                           rng.choice(BANK_VALUES[column.name]))
+                           "Nobody" if outside else rng.choice(BANK_VALUES[column.name]))
 
 
-def test_matches_reference_on_generated_data(bank_schema, bank_graph):
+def test_matches_reference_on_generated_data(bank_schema, bank_graph, monkeypatch):
     """Rows and their order equal the nested-loop oracle's, over data with
     nulls and repeated join keys and left-deep AND/OR predicates of 0 to 5
     comparisons that may span tables."""
     rng = random.Random(2024)
     columns = [(t.name, c) for t in bank_schema.tables for c in t.column_names]
     spanning_ors = 0
+    reads = record_reads(monkeypatch)
+    emptied = Counter()  # joins where a conjunct empties a table: is it the first?
     for _ in range(400):
         ds = generated_bank_dataset(rng, bank_schema)
         select = tuple(rng.sample(columns, rng.randint(1, 3)))
@@ -400,8 +469,13 @@ def test_matches_reference_on_generated_data(bank_schema, bank_graph):
         spanning_ors += "or" in ops and len(pred_tables) > 1
         plan = join_path(bank_graph, {t for t, _ in select} | pred_tables)
         rq = ResolvedQuery(select, pred, plan)
+        reads.clear()
         assert list(execute(rq, ds).rows) == oracles.reference_execute(rq, ds)
+        empty = [data for data, rows in reads if not rows and data.rows]
+        if empty and len(plan.tables) > 1:
+            emptied[empty[0] is ds.tables[plan.tables[0]]] += 1
     assert spanning_ors > 50
+    assert emptied[True] >= 10 and emptied[False] >= 10, emptied
 
 
 def test_hash_join_at_scale():
