@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -25,6 +25,10 @@ SQL_KEYWORDS = frozenset("""
     select set table then to transaction union unique update using values
     when where
 """.split())
+
+# format_literal's text for an int or a str; any other type, bool and
+# float included, goes through format_literal itself
+_SQL_LITERAL = {int: str, str: lambda s: "'" + s.replace("'", "''") + "'"}
 
 
 class BoundComparison(NamedTuple):
@@ -63,23 +67,31 @@ def _render_predicate(pred, col_ref):
     whether it has an OR connective.
 
     SQL binds AND tighter than OR, so a child connective of the other
-    kind is parenthesised to keep the IR's grouping."""
+    kind is parenthesised to keep the IR's grouping. The fold's value is
+    (parts, connective, opens): a left child's `)` is appended to the
+    parts and its `(` only counted, as every such `(` starts the text."""
     ops = set()
 
     def leaf(c):
-        return deque([f"{col_ref(c.table, c.column)} {c.op} {format_literal(c.literal)}"]), None
+        literal = _SQL_LITERAL.get(type(c.literal), format_literal)(c.literal)
+        return [f"{col_ref(c.table, c.column)} {c.op} {literal}"], None, 0
 
-    def join(node, left, right):  # joined once below, so linear in the text
-        ops.add(node.op)
-        for parts, op in (left, right):
-            if op not in (None, node.op):
-                parts.appendleft("(")
-                parts.append(")")
-        left[0].extend((f" {node.op.upper()} ", *right[0]))
-        return left[0], node.op
+    def join(node, left, right):
+        op = node.op
+        ops.add(op)
+        parts, left_op, opens = left
+        if left_op not in (None, op):
+            parts.append(")")
+            opens += 1
+        right_parts, right_op, right_opens = right
+        text = "(" * right_opens + "".join(right_parts)
+        if right_op not in (None, op):
+            text = f"({text})"
+        parts.append(f" {op.upper()} {text}")
+        return parts, op, opens
 
-    parts, _ = fold_predicate(pred, leaf, join)
-    return "".join(parts), "or" in ops
+    parts, _, opens = fold_predicate(pred, leaf, join)
+    return "(" * opens + "".join(parts), "or" in ops
 
 
 def resolve(ir, schema, graph):
@@ -102,6 +114,8 @@ def resolve(ir, schema, graph):
 
     def bind(pred):
         table, kind = owner_of(pred.column)
+        if isinstance(pred.literal, float) and not math.isfinite(pred.literal):
+            raise ResolveError(f"literal {pred.literal!r} is not a finite number")
         is_number = isinstance(pred.literal, (int, float)) and not isinstance(pred.literal, bool)
         if pred.op in NUMERIC_OPS and (not kind.is_numeric or not is_number):
             raise ResolveError(

@@ -1,13 +1,14 @@
 """Lexicon generation and tokenization of restricted-English queries.
 
 The lexicon mirrors the schema's column and table names; the keyword and
-noise tables are fixed. One compiled scanner tries four rules at each
-unit, in order: a quoted string, a keyword phrase of two or more words
-(longest first), a number, any other unit. Only phrase words fold case
-as ASCII; every other unit is looked up by its `str.lower()` in the
-lexicon's one word table, which holds the keywords, then the columns,
-then the tables, then the noise words, each shadowing those after it.
-Noise words are dropped.
+noise tables are fixed. One compiled scanner with no groups tries, at
+each position, a quoted string, a keyword phrase of two or more words
+(longest first; its words fold case as ASCII only), then any other unit.
+A unit's class is read from its text, in order: its `str.lower()` in the
+lexicon's one word table (keywords, phrases single-spaced, then columns,
+tables and noise words, each shadowing those after it); a quoted string;
+a number; a phrase spaced otherwise, looked up single-spaced; else an
+unknown word. Noise words are dropped.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import LexError, LexiconCollisionError
@@ -81,18 +83,20 @@ RESERVED_WORDS = frozenset(
 
 # lone surrogates stand for query bytes that were not UTF-8 (os.fsdecode)
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
-# one group per rule of the module docstring; a phrase word is `(?ai:...)`
-# since plain IGNORECASE lets `ſ` match `s` and `İ` match `i`, and a global
-# ASCII flag would stop NBSP separating words and `١٢` being a number
+# no groups, so `findall` returns one string per unit; a phrase word is
+# `(?ai:...)` since plain IGNORECASE lets `ſ` match `s` and `İ` match `i`,
+# and a global ASCII flag would stop NBSP separating words
 _SCANNER = re.compile(
-    r"""('[^']*'|"[^"]*")|("""
+    r"""'[^']*'|"[^"]*"|(?:"""
     + "|".join(
-        r"\s+".join(f"(?ai:{w})" for w in phrase.split()) + r"(?!\S)"
+        r"\s+".join(f"(?ai:{w})" for w in phrase.split())
         for phrase in sorted(KEYWORD_MAP, key=lambda p: -len(p.split()))
         if " " in phrase
     )
-    + r")|([+-]?\d+(?:\.\d+)?(?!\S))|(\S+)"
+    + r")(?!\S)|\S+"
 )
+# a unit is a number when this matches all of it; `\d` takes `١٢` too
+_is_number = re.compile(r"[+-]?\d+(?:\.\d+)?").fullmatch
 
 
 @dataclass(frozen=True)
@@ -125,29 +129,33 @@ def generate_lexicon(schema):
 def tokenize(query_text, lexicon):
     """Map the query to a token list; noise words are dropped, multi-word
     keyword phrases are consumed as single tokens (longest match wins)."""
-    tokens = []
+    fields = []  # each token's fields, made into tokens at the end
     words, tables = lexicon.words, lexicon.table_spelling
     i = 0  # word index of the unit in hand
-    for quoted, phrase, number, unit in _SCANNER.findall(query_text):
-        width = 1
-        if phrase:  # its source is its words joined by one space
-            parts = phrase.split()
-            unit, width = " ".join(parts), len(parts)
-        if quoted and not _SURROGATE_RE.search(quoted):  # else an unknown word
-            tokens.append(Token(STRING_LITERAL, quoted, quoted[1:-1], i))
-        elif number:
-            tokens.append(Token(NUMBER, number, number, i))
-        else:
-            unit = unit or quoted
-            word = unit.lower()
-            hit = words.get(word)
-            if hit is None:
-                raise LexError(unit, i)
+    for unit in _SCANNER.findall(query_text):
+        word = unit.lower()
+        hit = words.get(word)
+        if hit is not None:
             kind, target = hit
-            if (kind is COLUMN and tokens and tokens[-1].kind is OF
+            if (kind is COLUMN and fields and fields[-1][0] is OF
                     and word in tables):  # `of` takes only a table
                 kind, target = TABLE, tables[word]
             if kind is not None:
-                tokens.append(Token(kind, unit, target, i))
-        i += width
-    return tokens
+                fields.append((kind, unit, target, i))
+            i += word.count(" ")  # a single-spaced phrase's later words
+        elif len(unit) > 1 and unit[0] in "'\"" and unit[-1] == unit[0]:
+            if _SURROGATE_RE.search(unit):
+                raise LexError(unit, i)
+            fields.append((STRING_LITERAL, unit, unit[1:-1], i))
+        elif _is_number(unit):
+            fields.append((NUMBER, unit, unit, i))
+        else:  # a phrase spaced otherwise; its source is its words joined by one space
+            parts = unit.split()
+            if len(parts) < 2:
+                raise LexError(unit, i)
+            unit = " ".join(parts)
+            kind, target = words[unit.lower()]
+            fields.append((kind, unit, target, i))
+            i += len(parts) - 1
+        i += 1
+    return list(map(tuple.__new__, repeat(Token), fields))

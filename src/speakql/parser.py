@@ -20,7 +20,6 @@ balance greater than` fails at token 5); a LexError's counts every word.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -143,6 +142,8 @@ def format_literal(literal):
     if isinstance(literal, int):
         return str(literal)
     if isinstance(literal, float):
+        if not math.isfinite(literal):
+            raise ValueError(f"non-finite literal {literal!r}")
         if literal == int(literal):
             return str(int(literal))
         return repr(literal)
@@ -173,16 +174,20 @@ def fold_predicate(pred, leaf, join):
 def ir_to_text(ir):
     """Canonical text: VP[select(C, ...), of(T), where(P)], of and where only when present."""
     def leaf(c):
-        return deque([f"{c.op}({c.column}, {format_literal(c.literal)})"])
+        return [f"{c.op}({c.column}, {format_literal(c.literal)})"], []
 
-    def join(node, left, right):  # joined once below, so linear in the text
-        left.appendleft(f"{node.op}(")
-        left.extend((", ", *right, ")"))
+    def text(value):  # the openers are joined reversed once, so linear in the text
+        parts, opens = value
+        return "".join(reversed(opens)) + "".join(parts)
+
+    def join(node, left, right):
+        left[1].append(f"{node.op}(")
+        left[0].append(f", {text(right)})")
         return left
 
     parts = ["select(" + ", ".join(ir.select_columns) + ")"]
     if ir.scope_table is not None:
         parts.append(f"of({ir.scope_table})")
     if ir.predicate is not None:
-        parts.append(f"where({''.join(fold_predicate(ir.predicate, leaf, join))})")
+        parts.append(f"where({text(fold_predicate(ir.predicate, leaf, join))})")
     return "VP[" + ", ".join(parts) + "]"

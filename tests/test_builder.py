@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 import speakql
-from speakql.builder import BoundComparison, generate_sql, resolve
+from speakql.builder import BoundComparison, ResolvedQuery, generate_sql, resolve
 from speakql.errors import ResolveError, SpeakqlError
 from speakql.executor import execute, load_dataset
 from speakql.lexer import generate_lexicon, tokenize
-from speakql.parser import Comparison, QueryIR, ir_to_text, parse
-from speakql.schema import build_graph, load_schema
+from speakql.parser import Comparison, Connective, QueryIR, ir_to_text, parse
+from speakql.schema import JoinPlan, build_graph, load_schema
 
 import genqueries
 from conftest import FIXTURES
@@ -135,6 +135,60 @@ def test_generate_sql_keeps_number_literals_exact(
     ir = ir_of(f"get balance whose balance greater than {literal}", bank_lexicon)
     sql = generate_sql(resolve(ir, bank_schema, bank_graph))
     assert sql.text == f"SELECT balance FROM account WHERE balance > {rendered}"
+
+
+@pytest.mark.parametrize("literal", [float("inf"), float("-inf"), float("nan")])
+def test_resolve_rejects_non_finite_float_literal(bank_schema, bank_graph, literal):
+    ir = QueryIR(("customer_name",), None, Comparison("balance", ">", literal))
+    with pytest.raises(ResolveError, match=repr(literal)):
+        resolve(ir, bank_schema, bank_graph)
+
+
+@pytest.mark.parametrize("literal", [float("inf"), float("nan")])
+def test_generate_sql_names_non_finite_float_literal(literal):
+    rq = ResolvedQuery((("t", "c"),), BoundComparison("t", "c", ">", literal),
+                       JoinPlan(("t",), ()))
+    with pytest.raises(ValueError, match=repr(literal)):
+        generate_sql(rq)
+
+
+def random_tree(rng, depth, comparison):
+    """A hand-built predicate of at most `depth` connective levels, with
+    connectives as right children too, which the parser never makes."""
+    if depth == 0 or rng.random() < 0.3:
+        return comparison(rng.choice(["=", ">"]), rng.randrange(-5, 5))
+    return Connective(rng.choice(["and", "or"]), random_tree(rng, depth - 1, comparison),
+                      random_tree(rng, depth - 1, comparison))
+
+
+def reference_sql(pred, parent_op=None):
+    if not isinstance(pred, Connective):
+        return f"{pred.column} {pred.op} {pred.literal}"
+    text = (f"{reference_sql(pred.left, pred.op)} {pred.op.upper()} "
+            f"{reference_sql(pred.right, pred.op)}")
+    return text if parent_op in (None, pred.op) else f"({text})"
+
+
+def reference_ir(pred):
+    if not isinstance(pred, Connective):
+        return f"{pred.op}({pred.column}, {pred.literal})"
+    return f"{pred.op}({reference_ir(pred.left)}, {reference_ir(pred.right)})"
+
+
+def test_hand_built_trees_render_as_by_recursion():
+    """SQL and IR text of trees with connectives on both sides equal a
+    plain recursive rendering: SQL parenthesises a connective only under
+    one of the other kind."""
+    rng = random.Random(24)
+    for _ in range(300):
+        seed = rng.random()
+        pred = random_tree(random.Random(seed), 6, lambda op, n: BoundComparison("t", "c", op, n))
+        rq = ResolvedQuery((("t", "c"),), pred, JoinPlan(("t",), ()))
+        assert generate_sql(rq).text == f"SELECT c FROM t WHERE {reference_sql(pred)}"
+        pred = random_tree(random.Random(seed), 6, lambda op, n: Comparison("c", op, n))
+        assert ir_to_text(QueryIR(("c",), None, pred)) == (
+            f"VP[select(c), where({reference_ir(pred)})]"
+        )
 
 
 def test_generate_sql_string_literal_quote_doubling(bank_schema, bank_graph):

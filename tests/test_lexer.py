@@ -4,7 +4,7 @@ import pytest
 
 from speakql import lexer
 from speakql.errors import LexError, LexiconCollisionError
-from speakql.lexer import Lexicon, TokenKind, generate_lexicon, tokenize
+from speakql.lexer import Lexicon, Token, TokenKind, generate_lexicon, tokenize
 from speakql.schema import load_schema
 
 import genqueries
@@ -307,3 +307,46 @@ def test_phrase_words_are_separated_by_any_whitespace(bank_lexicon, query, sourc
 def test_non_ascii_digits_are_a_number(bank_lexicon):
     tokens = tokenize("get balance whose balance equals \u0661\u0662", bank_lexicon)
     assert (tokens[-1].kind, tokens[-1].target_lexeme) == (TokenKind.NUMBER, "\u0661\u0662")
+
+
+@pytest.mark.parametrize(
+    "unit, expected",
+    [
+        # a quoted string starts and ends with the same quote
+        ("''", [("STRING_LITERAL", "''", "", 5)]),
+        ("'", ("'", 5)),
+        ("'a\"", ("'a\"", 5)),
+        ("'a'b", ("b", 6)),
+        ('"it\'s"', [("STRING_LITERAL", '"it\'s"', "it's", 5)]),
+        ("'\ud800'", ("'\ud800'", 5)),
+        # a number is all of the unit
+        ("+7", [("NUMBER", "+7", "+7", 5)]),
+        ("-2.50", [("NUMBER", "-2.50", "-2.50", 5)]),
+        ("\u0661\u0662", [("NUMBER", "\u0661\u0662", "\u0661\u0662", 5)]),
+        ("1.", ("1.", 5)),
+        # a phrase is found in the word table, or after its spacing is made single
+        ("GREATER THAN", [("COMPARATOR", "GREATER THAN", ">", 5)]),
+        ("greater than", [("COMPARATOR", "greater than", ">", 5)]),
+        ("greater\n than", [("COMPARATOR", "greater than", ">", 5)]),
+        ("at lea\u017ft", ("at", 5)),
+    ],
+)
+def test_unit_class_is_read_from_its_text(bank_lexicon, unit, expected):
+    """Each unit between `get balance whose balance equals` and `5`: its
+    tokens, the `5` a word after its last word, or the word and position
+    of the LexError it raises."""
+    got = lexed(f"get balance whose balance equals {unit} 5", bank_lexicon)
+    if isinstance(expected, list):
+        expected = [*expected, ("NUMBER", "5", "5", 5 + len(unit.split()))]
+        got = got[5:]
+    assert got == expected
+
+
+def test_tokens_are_tokens(bank_lexicon):
+    tokens = tokenize("get balance and branch_name of account whose balance at\tleast -2.5"
+                      " or branch_name equals 'Rye' and assets greater than 7", bank_lexicon)
+    assert {t.kind for t in tokens} == set(TokenKind)
+    for t in tokens:
+        assert type(t) is Token
+        assert hash(t) == hash(Token(t.kind, t.source_lexeme, t.target_lexeme, t.position))
+        assert t == Token(t.kind, t.source_lexeme, t.target_lexeme, t.position)

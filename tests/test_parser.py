@@ -140,6 +140,12 @@ def test_ir_to_text_number_canonicalization():
     )
 
 
+@pytest.mark.parametrize("literal", [float("inf"), float("-inf"), float("nan")])
+def test_ir_to_text_names_non_finite_float_literal(literal):
+    with pytest.raises(ValueError, match=repr(literal)):
+        ir_to_text(QueryIR(("x",), None, Comparison("a", "=", literal)))
+
+
 def test_ir_to_text_string_literal():
     assert ir_to_text(QueryIR(("x",), None, Comparison("a", "=", "Rye"))) == (
         "VP[select(x), where(=(a, 'Rye'))]"
