@@ -26,11 +26,6 @@ SQL_KEYWORDS = frozenset("""
     when where
 """.split())
 
-# format_literal's text for an int or a str; any other type, bool and
-# float included, goes through format_literal itself
-_SQL_LITERAL = {int: str, str: lambda s: "'" + s.replace("'", "''") + "'"}
-
-
 class BoundComparison(NamedTuple):
     table: str
     column: str
@@ -73,8 +68,7 @@ def _render_predicate(pred, col_ref):
     ops = set()
 
     def leaf(c):
-        literal = _SQL_LITERAL.get(type(c.literal), format_literal)(c.literal)
-        return [f"{col_ref(c.table, c.column)} {c.op} {literal}"], None, 0
+        return [f"{col_ref(c.table, c.column)} {c.op} {format_literal(c.literal)}"], None, 0
 
     def join(node, left, right):
         op = node.op

@@ -101,6 +101,12 @@ _is_number = re.compile(r"[+-]?\d+(?:\.\d+)?").fullmatch
 
 @dataclass(frozen=True)
 class Lexicon:
+    """A schema's column and table spellings and the word table derived
+    from them. `tokenize` reads the word table before a unit's shape, so
+    a key shaped like a number or a quoted string (`1`, `'x'`) in a
+    hand-built lexicon makes that unit a column or table, not a literal;
+    `generate_lexicon` takes its keys from schema names and makes none."""
+
     column_spelling: dict  # lowercase -> schema spelling
     table_spelling: dict
     # lowercase word -> (kind, target), derived from the two above; a
