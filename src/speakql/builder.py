@@ -93,15 +93,15 @@ def resolve(ir, schema, graph):
     scope = None if ir.scope_table is None else schema.table(ir.scope_table)
 
     def owner_of(column):
-        """The table the column binds to, and its `Column` there."""
+        """The `of` table, or else the first in the column's owner record, and its `Column`."""
         if ir.scope_table is not None:
             if scope is not None and (col := scope.column(column)) is not None:
                 return scope, col
             raise ResolveError(f"table {ir.scope_table!r} does not own column {column!r}")
-        owners = schema.binding_owners.get(column.lower())
+        owners = schema.owners.get(column.lower())
         if not owners:
             raise ResolveError(f"no table owns column {column!r}")
-        return owners[0], owners[0].column(column)
+        return owners[0][1:]
 
     select_refs = tuple([(owner_of(c)[0].name, c) for c in ir.select_columns])
     required = {t for t, _ in select_refs}

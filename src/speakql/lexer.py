@@ -123,12 +123,12 @@ class Lexicon:
 def generate_lexicon(schema):
     tables = {name: t.name for name, t in schema.tables_by_name.items()}
     # a shared column is spelt as its first-declared owner spells it
-    columns = {name: ts[0].column(name).name for name, ts in schema.owners_by_column.items()}
-    for ident in list(columns) + list(tables):
-        if ident in RESERVED_WORDS:
-            raise LexiconCollisionError(
-                f"schema identifier {ident!r} collides with a reserved word"
-            )
+    columns = {name: min(owners)[2].name for name, owners in schema.owners.items()}
+    if not (RESERVED_WORDS.isdisjoint(columns) and RESERVED_WORDS.isdisjoint(tables)):
+        # `columns` is keyed in binding order; name the first-declared clash
+        declared = [name for t in schema.tables for name in t.columns_by_name] + list(tables)
+        ident = next(name for name in declared if name in RESERVED_WORDS)
+        raise LexiconCollisionError(f"schema identifier {ident!r} collides with a reserved word")
     return Lexicon(column_spelling=columns, table_spelling=tables)
 
 

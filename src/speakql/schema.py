@@ -2,8 +2,8 @@
 
 Names are case-insensitive: the schema's name index, built once,
 maps lower-cased table names to tables, each table's column names to
-columns, and column names to owning tables, both in declaration order
-and in the order a column binds to them (entity tables first).
+columns, and each column name to one record of its owning tables, each
+with its declaration index and `Column`, in binding order (entity first).
 
 Tables are connected whenever they share a column name; joins are
 equalities on those shared names. A graph indexes each table's
@@ -81,20 +81,18 @@ class Table:
 class Schema:
     tables: tuple[Table, ...]
     tables_by_name: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    owners_by_column: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the same owners, entity tables first, declaration order within each kind
-    binding_owners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # lower-cased column name -> [(declaration index, table, column)] per owner,
+    # in binding order: entity tables first, declaration order within each kind
+    owners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for t in self.tables:
             if t.name.lower() in self.tables_by_name:
                 raise SchemaConfigError(f"duplicate table name {t.name!r}")
             self.tables_by_name[t.name.lower()] = t
-            for column_name in t.columns_by_name:
-                self.owners_by_column.setdefault(column_name, []).append(t)
-        for t in sorted(self.tables, key=lambda t: t.kind != "entity"):
-            for column_name in t.columns_by_name:
-                self.binding_owners.setdefault(column_name, []).append(t)
+        for i, t in sorted(enumerate(self.tables), key=lambda entry: entry[1].kind != "entity"):
+            for name, col in t.columns_by_name.items():
+                self.owners.setdefault(name, []).append((i, t, col))
 
     def table(self, name):
         return self.tables_by_name.get(name.lower())
@@ -160,10 +158,10 @@ def build_graph(schema):
     """Edge between every pair of tables sharing >=1 column name, labelled
     with the earlier-declared table's spellings of the shared names."""
     shared = {}
-    for name, owners in schema.owners_by_column.items():
+    for owners in schema.owners.values():
         for i, a in enumerate(owners):
             for b in owners[i + 1 :]:
-                shared.setdefault(frozenset((a.name, b.name)), []).append(a.column(name).name)
+                shared.setdefault(frozenset((a[1].name, b[1].name)), []).append(min(a, b)[2].name)
     edges = {pair: frozenset(names) for pair, names in shared.items()}
     return SchemaGraph(tuple(t.name for t in schema.tables), edges)
 
@@ -172,7 +170,7 @@ def tables_owning(schema, column_name):
     """The names of all tables containing the column, in a new list:
     entity tables first, then relationship tables, declaration order
     within each group."""
-    return [t.name for t in schema.binding_owners.get(column_name.lower(), ())]
+    return [t.name for _, t, _ in schema.owners.get(column_name.lower(), ())]
 
 
 def _attach(adjacency, selected, table):

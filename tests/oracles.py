@@ -2,8 +2,8 @@
 
 These deliberately share no code with the package internals: a
 character walk and a try-every-phrase loop for tokenizing, a walk over
-an explicit state table for parsing, scans of
-every table and column for name lookups, subset and simple-path
+an explicit state table for parsing, scans of every table and column
+for name lookups and column bindings, subset and simple-path
 enumeration for join planning, exhaustive path enumeration for HMM
 decoding, and a literal triple-loop executor.
 """
@@ -201,6 +201,17 @@ def reference_tables_owning(schema, column_name):
         if any(c.name.lower() == column_name.lower() for c in t.columns):
             owners[t.kind].append(t.name)
     return owners["entity"] + owners["relationship"]
+
+
+def reference_binding(schema, column, scope=None):
+    """The table a column binds to, or None, by scanning every table in
+    declaration order: the table named `scope` if it has the column;
+    with no scope, the first entity table that has it, or else the first
+    table that has it."""
+    owners = [t for t in schema.tables if any(c.name.lower() == column.lower() for c in t.columns)]
+    if scope is not None:
+        return next((t for t in owners if t.name.lower() == scope.lower()), None)
+    return next((t for t in owners if t.kind == "entity"), owners[0] if owners else None)
 
 
 # ---------------------------------------------------------------- join paths

@@ -3,8 +3,10 @@ import time
 
 import pytest
 
-from speakql.errors import DisconnectedSchemaError, SchemaConfigError
-from speakql.lexer import generate_lexicon
+from speakql.builder import resolve
+from speakql.errors import DisconnectedSchemaError, ResolveError, SchemaConfigError
+from speakql.lexer import generate_lexicon, tokenize
+from speakql.parser import parse
 from speakql.schema import (
     TABLE_KINDS,
     VALUE_KINDS,
@@ -21,6 +23,7 @@ from speakql.schema import (
 from oracles import (
     min_connected_superset,
     plan_is_connected,
+    reference_binding,
     reference_graph,
     reference_join_path,
     reference_tables_owning,
@@ -179,20 +182,50 @@ def _random_schema(rng):
 def test_name_index_matches_reference_scans():
     rng = random.Random(20261018)
     mixed_labels = 0
+    entity_declared_later = 0
     for _ in range(300):
         schema = _random_schema(rng)
         graph = build_graph(schema)
+        lexicon = generate_lexicon(schema)
         nodes, edges = reference_graph(schema)
         assert graph.nodes == nodes
         assert graph.edges == edges
         for pair, label in edges.items():
             a, b = (schema.table(t) for t in pair)
             mixed_labels += any(a.column(c).name != b.column(c).name for c in label)
+
+        def resolved(query):
+            return resolve(parse(tokenize(query, lexicon)), schema, graph)
+
         for name in SHARED + ("ta_own", "missing"):
             for spelling in (name, _respell(rng, name)):
                 assert tables_owning(schema, spelling) == reference_tables_owning(
                     schema, spelling
                 )
+                owner = reference_binding(schema, spelling)
+                if owner is None:
+                    continue
+                assert resolved(f"get {spelling}").select_refs[0][0] == owner.name
+                # where declaration order and binding order disagree
+                entity_declared_later += owner is not next(
+                    t for t in schema.tables if t.column(spelling) is not None
+                )
+                for t in schema.tables:
+                    scoped = reference_binding(schema, spelling, t.name)
+                    query = f"get {spelling} of {t.name}"
+                    if scoped is None:
+                        with pytest.raises(ResolveError):
+                            resolved(query)
+                    else:
+                        assert resolved(query).select_refs[0][0] == scoped.name
+                # each owner draws its own kind for a shared column, so the
+                # kind checked is the bound owner's
+                query = f"get {owner.name.lower()}_own whose {spelling} equals 1"
+                if owner.column(spelling).value_kind == "text":
+                    with pytest.raises(ResolveError):
+                        resolved(query)
+                else:
+                    assert resolved(query).predicate_refs.table == owner.name
         first_spelling = {}
         for t in schema.tables:
             assert schema.table(_respell(rng, t.name.lower())) is t
@@ -201,6 +234,7 @@ def test_name_index_matches_reference_scans():
                 first_spelling.setdefault(c.name.lower(), c.name)
         assert generate_lexicon(schema).column_spelling == first_spelling
     assert mixed_labels > 100
+    assert entity_declared_later > 100
 
 
 def test_build_graph_scales_to_long_chain():
