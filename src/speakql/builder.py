@@ -88,49 +88,56 @@ def _render_predicate(pred, col_ref):
     return "(" * opens + "".join(parts), "or" in ops
 
 
+def _rebuild(node, left, right):
+    return Connective(node.op, left, right)
+
+
 def resolve(ir, schema, graph):
-    """Bind every column to its owning table and compute the join plan."""
+    """Bind every column to its owning table and compute the join plan.
+
+    Each column, as the query spells it, is bound once per query, the
+    first time it is seen; every comparison still checks its own literal."""
     scope = None if ir.scope_table is None else schema.table(ir.scope_table)
+    bindings = {}  # column -> (table name, is numeric, value kind)
 
-    def owner_of(column):
-        """The `of` table, or else the first in the column's owner record, and its `Column`."""
+    def bind_column(column):
+        """The `of` table, or else the first in the column's owner record."""
         if ir.scope_table is not None:
-            if scope is not None and (col := scope.column(column)) is not None:
-                return scope, col
-            raise ResolveError(f"table {ir.scope_table!r} does not own column {column!r}")
-        owners = schema.owners.get(column.lower())
-        if not owners:
-            raise ResolveError(f"no table owns column {column!r}")
-        return owners[0][1:]
+            if scope is None or (col := scope.column(column)) is None:
+                raise ResolveError(f"table {ir.scope_table!r} does not own column {column!r}")
+            table = scope
+        else:
+            owners = schema.owners.get(column.lower())
+            if not owners:
+                raise ResolveError(f"no table owns column {column!r}")
+            _, table, col = owners[0]
+        binding = bindings[column] = (table.name, col.is_numeric, col.value_kind)
+        return binding
 
-    select_refs = tuple([(owner_of(c)[0].name, c) for c in ir.select_columns])
-    required = {t for t, _ in select_refs}
+    select_refs = tuple([((bindings.get(c) or bind_column(c))[0], c) for c in ir.select_columns])
 
     def bind(pred):
-        table, kind = owner_of(pred.column)
-        if isinstance(pred.literal, float) and not math.isfinite(pred.literal):
-            raise ResolveError(f"literal {pred.literal!r} is not a finite number")
-        is_number = isinstance(pred.literal, (int, float)) and not isinstance(pred.literal, bool)
-        if pred.op in NUMERIC_OPS and (not kind.is_numeric or not is_number):
+        column, op, literal = pred
+        table, is_numeric, value_kind = bindings.get(column) or bind_column(column)
+        if isinstance(literal, float) and not math.isfinite(literal):
+            raise ResolveError(f"literal {literal!r} is not a finite number")
+        is_number = isinstance(literal, (int, float)) and not isinstance(literal, bool)
+        if op in NUMERIC_OPS and (not is_numeric or not is_number):
             raise ResolveError(
-                f"comparator {pred.op!r} needs a numeric column and literal; "
-                f"column {pred.column!r} is {kind.value_kind}, "
-                f"literal is {pred.literal!r}"
+                f"comparator {op!r} needs a numeric column and literal; "
+                f"column {column!r} is {value_kind}, "
+                f"literal is {literal!r}"
             )
-        if kind.is_numeric != is_number:
+        if is_numeric != is_number:
             raise ResolveError(
-                f"literal {pred.literal!r} does not match "
-                f"{kind.value_kind} column {pred.column!r}"
+                f"literal {literal!r} does not match {value_kind} column {column!r}"
             )
-        required.add(table.name)
-        return BoundComparison(table.name, pred.column, pred.op, pred.literal)
+        return tuple.__new__(BoundComparison, (table, column, op, literal))
 
     predicate_refs = None
     if ir.predicate is not None:
-        predicate_refs = fold_predicate(
-            ir.predicate, bind, lambda node, left, right: Connective(node.op, left, right)
-        )
-    plan = join_path(graph, required)
+        predicate_refs = fold_predicate(ir.predicate, bind, _rebuild)
+    plan = join_path(graph, {table for table, _, _ in bindings.values()})
     return ResolvedQuery(select_refs, predicate_refs, plan)
 
 

@@ -31,7 +31,6 @@ from .lexer import (
 
 # what `parse` reads past the last token; its kind is no TokenKind
 _END = Token(None, "", "", -1)
-_CONNECTIVES = {LOGICAL_AND: "and", LOGICAL_OR: "or"}
 
 
 class Comparison(NamedTuple):
@@ -40,11 +39,22 @@ class Comparison(NamedTuple):
     literal: Union[int, float, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connective:
     op: str  # "and" | "or"
     left: "Predicate"
     right: "Predicate"
+
+    # @dataclass keeps an __init__ defined here. This one stores each field
+    # through its slot's descriptor, at half the cost of the generated one,
+    # which calls object.__setattr__ once per field.
+    def __init__(self, op, left, right):
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+_set_op, _set_left, _set_right = [Connective.__dict__[f].__set__ for f in ("op", "left", "right")]
 
 
 Predicate = Union[Comparison, Connective]
@@ -103,10 +113,14 @@ def parse(tokens):
                 pos += 1
             else:
                 literal = take(STRING_LITERAL, "a number or quoted string")
-            comparison = Comparison(column, comparator, literal)
+            comparison = tuple.__new__(Comparison, (column, comparator, literal))
             predicate = comparison if op is None else Connective(op, predicate, comparison)
-            op = _CONNECTIVES.get(toks[pos].kind)
-            if op is None:
+            kind = toks[pos].kind
+            if kind is LOGICAL_AND:
+                op = "and"
+            elif kind is LOGICAL_OR:
+                op = "or"
+            else:
                 break
             pos += 1
         take(None, "end of query")

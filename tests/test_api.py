@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from speakql import Comparison, Connective, Token, TokenKind, parse, tokenize
@@ -52,6 +56,34 @@ def test_comparison_never_equals_connective():
     comparison = Comparison("and", left, right)
     connective = Connective("and", left, right)
     assert comparison != connective and connective != comparison
+
+
+def test_connective_contract():
+    """`Connective` fills its own fields but keeps the frozen dataclass's
+    contract: it refuses to be changed, compares and hashes by value,
+    `dataclasses.replace` makes another `Connective`, it copies and
+    pickles, it prints as the dataclass repr does, and it never equals a
+    tuple of its fields."""
+    left, right = Comparison("a", "=", 1), Comparison("b", "<", 2.5)
+    node, twin = Connective("and", left, right), Connective(op="and", left=left, right=right)
+    assert dataclasses.is_dataclass(node)
+    for field in ("op", "left", "right"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, None)
+    assert (node.op, node.left, node.right) == ("and", left, right)
+    assert node == twin and hash(node) == hash(twin)
+    assert {node: 1}[twin] == 1
+    assert node != Connective("or", left, right) and node != Connective("and", right, left)
+    swapped = dataclasses.replace(node, op="or")
+    assert type(swapped) is Connective and swapped == Connective("or", left, right)
+    assert node.op == "and"
+    assert copy.deepcopy(node) == node and pickle.loads(pickle.dumps(node)) == node
+    assert repr(node) == (
+        "Connective(op='and', left=Comparison(column='a', op='=', literal=1), "
+        "right=Comparison(column='b', op='<', literal=2.5))"
+    )
+    for other in (Comparison("and", left, right), ("and", left, right)):
+        assert node != other and other != node
 
 
 def test_parser_output_is_a_dict_key(bank_lexicon):

@@ -144,6 +144,98 @@ def test_resolve_rejects_non_finite_float_literal(bank_schema, bank_graph, liter
         resolve(ir, bank_schema, bank_graph)
 
 
+def conjunction(*comparisons):
+    """The left-grouped AND of the comparisons, as the parser builds it."""
+    pred = comparisons[0]
+    for c in comparisons[1:]:
+        pred = Connective("and", pred, c)
+    return pred
+
+
+# (scope, comparisons whose last one is bad, error text): the bad one's
+# column was bound earlier in the query, by the select list or a condition
+REPEATED_COLUMN_ERRORS = [
+    (None, [("balance", ">", 5), ("balance", "=", "x")],
+     "literal 'x' does not match real column 'balance'"),
+    (None, [("balance", "=", 5), ("balance", ">", "x")],
+     "comparator '>' needs a numeric column and literal; column 'balance' is real, "
+     "literal is 'x'"),
+    (None, [("branch_name", "=", "x"), ("branch_name", "=", 7)],
+     "literal 7 does not match text column 'branch_name'"),
+    (None, [("balance", ">", 5), ("balance", "<", float("inf"))],
+     "literal inf is not a finite number"),
+    (None, [("customer_name", "=", 5)],
+     "literal 5 does not match text column 'customer_name'"),
+    ("account", [("balance", ">", 5), ("balance", "=", "x")],
+     "literal 'x' does not match real column 'balance'"),
+    ("account", [("branch_name", "=", "x"), ("balance", "<", 1), ("branch_name", ">", "y")],
+     "comparator '>' needs a numeric column and literal; column 'branch_name' is text, "
+     "literal is 'y'"),
+    ("account", [("balance", ">", 5), ("balance", "<", float("nan"))],
+     "literal nan is not a finite number"),
+]
+
+
+@pytest.mark.parametrize("scope, comparisons, error", REPEATED_COLUMN_ERRORS, ids=[
+    "kind", "numeric-comparator", "text-kind", "non-finite", "select-column",
+    "of-kind", "of-numeric-comparator", "of-non-finite",
+])
+def test_repeated_column_keeps_its_own_checks(bank_schema, bank_graph, scope, comparisons, error):
+    """A column is bound once per query, but each comparison on it still
+    checks its own literal and names it in the error."""
+    select = ("customer_name",) if scope is None else ("balance",)
+    pred = conjunction(*(Comparison(*c) for c in comparisons))
+    ir = QueryIR(select, scope, pred)
+    with pytest.raises(ResolveError) as exc:
+        resolve(ir, bank_schema, bank_graph)
+    assert str(exc.value) == error
+    if len(comparisons) > 1:  # the same query without the bad comparison resolves
+        good = conjunction(*(Comparison(*c) for c in comparisons[:-1]))
+        resolve(QueryIR(select, scope, good), bank_schema, bank_graph)
+
+
+def test_leftmost_bad_comparison_is_reported(bank_schema, bank_graph):
+    first, second = Comparison("balance", "=", "first"), Comparison("balance", "=", "second")
+    infinite = Comparison("balance", "<", float("inf"))
+    first_error = "literal 'first' does not match real column 'balance'"
+    for pred, error in (
+        (conjunction(Comparison("balance", ">", 1), first, second), first_error),
+        (Connective("or", conjunction(first, Comparison("balance", "<", 2)), second), first_error),
+        (Connective("and", first, Connective("or", second, infinite)), first_error),
+        (conjunction(Comparison("balance", ">", 1), infinite, first),
+         "literal inf is not a finite number"),
+    ):
+        with pytest.raises(ResolveError) as exc:
+            resolve(QueryIR(("balance",), None, pred), bank_schema, bank_graph)
+        assert str(exc.value) == error
+
+
+CASE_VARIANT_SCHEMA = """
+tables:
+  - name: ta
+    columns: [{name: Key, type: integer}, {name: aval, type: text}]
+  - name: tb
+    columns: [{name: key, type: integer}, {name: bval, type: text}]
+"""
+
+
+@pytest.mark.parametrize("scope, table", [(None, "ta"), ("tb", "tb"), ("TB", "tb")])
+def test_case_variants_of_a_column_bind_to_one_table(scope, table):
+    """`Key` and `key` are one column: in a hand-built IR that spells it
+    both ways, every spelling binds to the same table and keeps its own
+    spelling in the bound comparison."""
+    schema = load_schema(CASE_VARIANT_SCHEMA)
+    pred = conjunction(Comparison("key", "=", 1), Comparison("Key", ">", 0),
+                       Comparison("KEY", "<", 9), Comparison("key", "<>", 4))
+    rq = resolve(QueryIR(("Key", "key"), scope, pred), schema, build_graph(schema))
+    assert rq.select_refs == ((table, "Key"), (table, "key"))
+    assert rq.predicate_refs == conjunction(
+        BoundComparison(table, "key", "=", 1), BoundComparison(table, "Key", ">", 0),
+        BoundComparison(table, "KEY", "<", 9), BoundComparison(table, "key", "<>", 4),
+    )
+    assert rq.join_plan == JoinPlan((table,), ())
+
+
 @pytest.mark.parametrize("literal", [float("inf"), float("nan")])
 def test_generate_sql_names_non_finite_float_literal(literal):
     rq = ResolvedQuery((("t", "c"),), BoundComparison("t", "c", ">", literal),

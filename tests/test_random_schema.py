@@ -1,6 +1,7 @@
 """Random schemas: on every query that translates, the built-in executor
 gives the same rows as sqlite gives for the emitted SQL (differential
-testing, McKeeman 1998, with sqlite as the reference engine)."""
+testing, McKeeman 1998, with sqlite as the reference engine), and every
+column binds to the table that the reference binder names."""
 
 import random
 import sqlite3
@@ -19,7 +20,10 @@ from speakql import (
 )
 from speakql.errors import SpeakqlError
 from speakql.executor import Dataset, TableData
+from speakql.parser import fold_predicate
 from speakql.schema import TABLE_KINDS, VALUE_KINDS, Column, Schema, Table
+
+from oracles import reference_binding
 
 # three are SQL keywords, which the SQL must quote
 TABLE_NAMES = ("order", "group", "select", "Sale", "item", "Shop", "pay", "batch", "note", "stock")
@@ -119,6 +123,15 @@ def _shapes(schema, graph):
     return shapes
 
 
+def _bindings(rq):
+    """(table, column) of every select ref and every bound comparison."""
+    bound = list(rq.select_refs)
+    if rq.predicate_refs is not None:
+        fold_predicate(rq.predicate_refs, lambda c: bound.append((c.table, c.column)),
+                       lambda node, left, right: None)
+    return bound
+
+
 def test_executor_agrees_with_sqlite_on_random_schemas():
     rng = random.Random(20261020)
     outcomes, shapes = Counter(), Counter()
@@ -130,13 +143,19 @@ def test_executor_agrees_with_sqlite_on_random_schemas():
             for _ in range(30):
                 text = _random_query(rng, schema)
                 try:
-                    rq = resolve(parse(tokenize(text, lexicon)), schema, graph)
+                    ir = parse(tokenize(text, lexicon))
+                    rq = resolve(ir, schema, graph)
                     sql, rows = generate_sql(rq).text, execute(rq, ds).rows
                 except SpeakqlError as exc:  # anything else fails the test
                     outcomes[type(exc).__name__] += 1
                     continue
                 assert Counter(rows) == Counter(db.execute(sql).fetchall()), (text, sql)
+                for table, column in _bindings(rq):
+                    expected = reference_binding(schema, column, ir.scope_table)
+                    assert table == expected.name, (text, column)
+                    outcomes["bindings"] += 1
                 outcomes["translated"] += 1
                 outcomes["quoted a keyword"] += '"' in sql
     assert outcomes["translated"] > 2000 and outcomes["quoted a keyword"] > 100, outcomes
+    assert outcomes["bindings"] > 2 * outcomes["translated"], outcomes
     assert len(shapes) == 6 and min(shapes.values()) > 10, shapes
