@@ -59,33 +59,25 @@ def _qualified(table, column):
 
 def _render_predicate(pred, col_ref):
     """SQL text of a predicate, its columns written by `col_ref`, and
-    whether it has an OR connective.
-
-    SQL binds AND tighter than OR, so a child connective of the other
-    kind is parenthesised to keep the IR's grouping. The fold's value is
-    (parts, connective, opens): a left child's `)` is appended to the
-    parts and its `(` only counted, as every such `(` starts the text."""
-    ops = set()
-
-    def leaf(c):
-        return [f"{col_ref(c.table, c.column)} {c.op} {format_literal(c.literal)}"], None, 0
-
-    def join(node, left, right):
-        op = node.op
-        ops.add(op)
-        parts, left_op, opens = left
-        if left_op not in (None, op):
-            parts.append(")")
-            opens += 1
-        right_parts, right_op, right_opens = right
-        text = "(" * right_opens + "".join(right_parts)
-        if right_op not in (None, op):
-            text = f"({text})"
-        parts.append(f" {op.upper()} {text}")
-        return parts, op, opens
-
-    parts, _, opens = fold_predicate(pred, leaf, join)
-    return "(" * opens + "".join(parts), "or" in ops
+    whether it has an OR connective. It is written left to right, as
+    `ir_to_text` writes the IR, with a child connective of the other kind
+    in parentheses to keep the IR's grouping: SQL binds AND tighter than OR."""
+    parts, ops, stack = [], set(), [pred]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif isinstance(node, Connective):
+            ops.add(op := node.op)
+            for entry in (node.right, f" {op.upper()} ", node.left):
+                if isinstance(entry, Connective) and entry.op != op:
+                    stack += (")", entry, "(")
+                else:
+                    stack.append(entry)
+        else:
+            literal = format_literal(node.literal)
+            parts.append(f"{col_ref(node.table, node.column)} {node.op} {literal}")
+    return "".join(parts), "or" in ops
 
 
 def _rebuild(node, left, right):
@@ -132,6 +124,8 @@ def resolve(ir, schema, graph):
             raise ResolveError(
                 f"literal {literal!r} does not match {value_kind} column {column!r}"
             )
+        if not is_number and not isinstance(literal, str):
+            raise ResolveError(f"literal {literal!r} is neither a number nor a string")
         return tuple.__new__(BoundComparison, (table, column, op, literal))
 
     predicate_refs = None
@@ -150,14 +144,11 @@ def generate_sql(rq):
     select = "SELECT " + ", ".join(col_ref(t, c) for t, c in rq.select_refs)
     from_clause = "FROM " + ", ".join(map(_quote, plan.tables))
 
-    where_parts = []
+    where_parts = [f"{_qualified(lt, lc)} = {_qualified(rt, rc)}"
+                   for lt, lc, rt, rc in plan.conditions]
     if rq.predicate_refs is not None:
         user, has_or = _render_predicate(rq.predicate_refs, col_ref)
-        if has_or and plan.conditions:
-            user = f"({user})"
-        where_parts.append(user)
-    for lt, lc, rt, rc in plan.conditions:
-        where_parts.append(f"{_qualified(lt, lc)} = {_qualified(rt, rc)}")
+        where_parts.insert(0, f"({user})" if has_or and where_parts else user)
 
     text = f"{select} {from_clause}"
     if where_parts:

@@ -221,7 +221,9 @@ def execute(rq, ds):
     positions = {t: {c.lower(): i for i, c in enumerate(ds.tables[t].header)} for t in plan.tables}
 
     def column(table, name):
-        return positions[table][name.lower()]
+        if (i := positions[table].get(name.lower())) is None:
+            raise DatasetError(f"dataset table {table!r} has no column {name!r}")
+        return i
 
     local, residual = {t: [] for t in plan.tables}, []
     for conjunct, tables in _conjuncts(rq.predicate_refs):

@@ -149,59 +149,64 @@ def _parse_number(text, position):
 
 def format_literal(literal):
     """Canonical rendering, shared by the IR text and the SQL: numbers
-    without leading zeros or trailing fractional zeros, strings
-    single-quoted with each inner quote doubled."""
-    if isinstance(literal, bool):
-        raise TypeError("boolean literal")
-    if isinstance(literal, int):
+    without leading zeros or trailing fractional zeros, strings single-quoted
+    with each inner quote doubled; any other literal, a bool too, raises TypeError."""
+    if isinstance(literal, str):
+        return "'" + literal.replace("'", "''") + "'"
+    if isinstance(literal, int) and not isinstance(literal, bool):
         return str(literal)
-    if isinstance(literal, float):
-        if not math.isfinite(literal):
-            raise ValueError(f"non-finite literal {literal!r}")
-        if literal == int(literal):
-            return str(int(literal))
-        return repr(literal)
-    return "'" + str(literal).replace("'", "''") + "'"
+    if not isinstance(literal, float):
+        raise TypeError(f"literal {literal!r} is neither a number nor a string")
+    if not math.isfinite(literal):
+        raise ValueError(f"non-finite literal {literal!r}")
+    if literal == int(literal):
+        return str(int(literal))
+    return repr(literal)
 
 
 def fold_predicate(pred, leaf, join):
-    """Value of a predicate tree, computed bottom-up: `leaf(c)` runs on
-    each comparison from left to right, `join(node, left, right)` on each
-    connective with the values of its two children.
+    """Value of a predicate tree, computed bottom-up without recursion:
+    `leaf(c)` runs on each comparison from left to right, `join(node,
+    left, right)` on each connective with the values of its two children.
 
-    The parser grows the tree's left spine by one connective per
-    condition, so the spine is walked in a loop. A right child is always
-    a comparison in a parsed tree and goes straight to `leaf`; only a
-    connective there, as in a hand-built tree, recurses."""
-    spine = []
-    while isinstance(pred, Connective):
-        spine.append(pred)
-        pred = pred.left
-    value = leaf(pred)
-    for node in reversed(spine):
-        right = node.right
-        value = join(node, value, fold_predicate(right, leaf, join)
-                     if isinstance(right, Connective) else leaf(right))
-    return value
+    A left spine, as the parser grows it, is walked in a loop: its
+    connectives wait in `pending` for their left value, and one whose right
+    child is a connective too waits there again, paired with that value."""
+    pending = []
+    while True:
+        while isinstance(pred, Connective):
+            pending.append(pred)
+            pred = pred.left
+        value = leaf(pred)
+        while pending:
+            node = pending.pop()
+            if not isinstance(node, Connective):  # a (connective, left value) pair
+                value = join(*node, value)
+            elif isinstance(pred := node.right, Connective):
+                pending.append((node, value))
+                break
+            else:
+                value = join(node, value, leaf(pred))
+        else:
+            return value
 
 
 def ir_to_text(ir):
-    """Canonical text: VP[select(C, ...), of(T), where(P)], of and where only when present."""
-    def leaf(c):
-        return [f"{c.op}({c.column}, {format_literal(c.literal)})"], []
-
-    def text(value):  # the openers are joined reversed once, so linear in the text
-        parts, opens = value
-        return "".join(reversed(opens)) + "".join(parts)
-
-    def join(node, left, right):
-        left[1].append(f"{node.op}(")
-        left[0].append(f", {text(right)})")
-        return left
-
-    parts = ["select(" + ", ".join(ir.select_columns) + ")"]
+    """Canonical text: VP[select(C, ...), of(T), where(P)], of and where only
+    when present, written left to right from a stack of nodes and text: a
+    connective writes `op(` and pushes `)`, its right child, `, ` and its left child."""
+    parts, stack = ["VP[select(", ", ".join(ir.select_columns), ")"], ["]"]
     if ir.scope_table is not None:
-        parts.append(f"of({ir.scope_table})")
+        parts.append(f", of({ir.scope_table})")
     if ir.predicate is not None:
-        parts.append(f"where({text(fold_predicate(ir.predicate, leaf, join))})")
-    return "VP[" + ", ".join(parts) + "]"
+        stack += (")", ir.predicate, ", where(")
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif isinstance(node, Connective):
+            parts.append(f"{node.op}(")
+            stack += (")", node.right, ", ", node.left)
+        else:
+            parts.append(f"{node.op}({node.column}, {format_literal(node.literal)})")
+    return "".join(parts)

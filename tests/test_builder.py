@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import sqlite3
 import subprocess
 import sys
@@ -137,11 +138,24 @@ def test_generate_sql_keeps_number_literals_exact(
     assert sql.text == f"SELECT balance FROM account WHERE balance > {rendered}"
 
 
-@pytest.mark.parametrize("literal", [float("inf"), float("-inf"), float("nan")])
+# literals a hand-built IR may hold and SQL cannot: not finite, or neither
+# a number nor a string
+UNWRITABLE_LITERALS = [
+    True, None, pytest.param(b"x", id="bytes"), pytest.param(("a",), id="tuple"),
+]
+
+
+@pytest.mark.parametrize(
+    "literal", [float("inf"), float("-inf"), float("nan"), *UNWRITABLE_LITERALS]
+)
 def test_resolve_rejects_non_finite_float_literal(bank_schema, bank_graph, literal):
-    ir = QueryIR(("customer_name",), None, Comparison("balance", ">", literal))
-    with pytest.raises(ResolveError, match=repr(literal)):
-        resolve(ir, bank_schema, bank_graph)
+    """A non-finite float, or a literal that is neither a number nor a
+    string, is rejected against a numeric and a text column alike."""
+    for comparison in (Comparison("balance", ">", literal),
+                       Comparison("customer_city", "=", literal)):
+        ir = QueryIR(("customer_name",), None, comparison)
+        with pytest.raises(ResolveError, match=re.escape(repr(literal))):
+            resolve(ir, bank_schema, bank_graph)
 
 
 def conjunction(*comparisons):
@@ -236,11 +250,12 @@ def test_case_variants_of_a_column_bind_to_one_table(scope, table):
     assert rq.join_plan == JoinPlan((table,), ())
 
 
-@pytest.mark.parametrize("literal", [float("inf"), float("nan")])
+@pytest.mark.parametrize("literal", [float("inf"), float("nan"), *UNWRITABLE_LITERALS])
 def test_generate_sql_names_non_finite_float_literal(literal):
     rq = ResolvedQuery((("t", "c"),), BoundComparison("t", "c", ">", literal),
                        JoinPlan(("t",), ()))
-    with pytest.raises(ValueError, match=repr(literal)):
+    error = ValueError if isinstance(literal, float) else TypeError
+    with pytest.raises(error, match=re.escape(repr(literal))):
         generate_sql(rq)
 
 

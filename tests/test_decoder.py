@@ -31,6 +31,14 @@ def test_fixture_loads(bank_models):
     assert fsa.accepting == {"S2"}
 
 
+def test_empty_observations_are_rejected(bank_models):
+    hmms, fsa = bank_models
+    with pytest.raises(ValueError, match="observations must be nonempty"):
+        viterbi_word([], hmms[0])
+    with pytest.raises(ValueError, match="observations must be nonempty"):
+        decode_sentence([], hmms, fsa)
+
+
 def test_emission_sum_violation():
     doc = """
 phoneme_alphabet: [a, b]

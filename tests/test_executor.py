@@ -233,6 +233,24 @@ def test_one_link_matches_integer_with_real():
     assert sqlite_rows(ds, generate_sql(rq).text) == want
 
 
+NO_COLUMN_B = "dataset table 't' has no column 'b'"
+
+
+@pytest.mark.parametrize("select, pred, plan, error", [
+    ((("t", "a"), ("t", "b")), None, JoinPlan(("t",), ()), NO_COLUMN_B),
+    ((("t", "a"),), BoundComparison("t", "b", "=", "x"), JoinPlan(("t",), ()), NO_COLUMN_B),
+    ((("t", "a"),), None, JoinPlan(("t", "u"), (("t", "b", "u", "k"),)), NO_COLUMN_B),
+    ((("v", "a"),), None, JoinPlan(("v",), ()), "table 'v' not present in dataset"),
+], ids=["select-column", "predicate-column", "join-column", "table"])
+def test_dataset_lacking_what_the_plan_reads(select, pred, plan, error):
+    """A dataset not loaded for the plan's schema: a planned table or
+    column it lacks is named in a DatasetError."""
+    ds = Dataset({"t": TableData(("a",), (("x",),)), "u": TableData(("k",), ((1,),))})
+    with pytest.raises(DatasetError) as exc:
+        execute(ResolvedQuery(select, pred, plan), ds)
+    assert str(exc.value) == error
+
+
 @pytest.mark.parametrize("side", ["probe", "build", "both"])
 def test_null_one_link_key_never_joins(side):
     ta = [(1, "a1"), (2, "a2")] + [(None, "a-null")] * (side != "build")

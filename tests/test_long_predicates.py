@@ -17,7 +17,7 @@ from speakql.builder import generate_sql, resolve
 from speakql.cli import main
 from speakql.executor import execute
 from speakql.lexer import tokenize
-from speakql.parser import ir_to_text, parse
+from speakql.parser import Comparison, Connective, QueryIR, ir_to_text, parse
 
 from conftest import FIXTURES
 
@@ -114,7 +114,7 @@ def holds(conds, account):
     return value
 
 
-def expected_rows(conds, ds):
+def expected_rows(conds, ds, holds=holds):
     """Rows in loop order: customer, account, depositor (declaration order)."""
     def records(name):
         data = ds.tables[name]
@@ -141,6 +141,65 @@ def test_long_predicate_through_every_stage(
     rq = resolve(ir, bank_schema, bank_graph)
     assert_same_text(generate_sql(rq).text, expected_sql(conds))
     rows = expected_rows(conds, bank_dataset)
+    assert rows  # the predicate keeps some rows
+    assert list(execute(rq, bank_dataset).rows) == rows
+
+
+# A hand-built predicate nested on its right side, c0 op1 (c1 op2 (c2 ...)),
+# which the parser never makes: condition k's connective joins condition
+# k - 1 to the tree of the conditions from k on.
+
+def right_nested(conds):
+    pred = Comparison(*conds[-1][1:])
+    for k in range(len(conds) - 1, 0, -1):
+        pred = Connective(conds[k][0], Comparison(*conds[k - 1][1:]), pred)
+    return pred
+
+
+def expected_right_ir(conds):
+    heads = [
+        f"{connective}({op}({column}, {literal_text(literal)}), "
+        for (connective, *_), (_, column, op, literal) in zip(conds[1:], conds)
+    ]
+    _, column, op, literal = conds[-1]
+    text = f"{''.join(heads)}{op}({column}, {literal_text(literal)}){')' * len(heads)}"
+    return f"VP[select(customer_name), where({text})]"
+
+
+def expected_right_sql(conds):
+    body, opens = [], 0
+    for k in range(1, len(conds)):
+        connective, (_, column, op, literal) = conds[k][0], conds[k - 1]
+        body.append(f"account.{column} {op} {literal_text(literal)} {connective.upper()} ")
+        if k + 1 < len(conds) and conds[k + 1][0] != connective:
+            body.append("(")
+            opens += 1
+    _, column, op, literal = conds[-1]
+    body.append(f"account.{column} {op} {literal_text(literal)}" + ")" * opens)
+    return (
+        "SELECT customer.customer_name FROM customer, depositor, account "
+        f"WHERE ({''.join(body)}){JOINS}"
+    )
+
+
+def holds_right(conds, account):
+    _, column, op, literal = conds[-1]
+    value = COMPARE[op](account[column], literal)
+    for k in range(len(conds) - 1, 0, -1):
+        _, column, op, literal = conds[k - 1]
+        this = COMPARE[op](account[column], literal)
+        value = (this and value) if conds[k][0] == "and" else (this or value)
+    return value
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_right_nested_predicate_through_every_stage(n, bank_schema, bank_graph, bank_dataset):
+    _, conds = long_query(n)
+    ir = QueryIR(("customer_name",), None, right_nested(conds))
+    assert_same_text(ir_to_text(ir), expected_right_ir(conds))
+    rq = resolve(ir, bank_schema, bank_graph)
+    assert_same_text(generate_sql(rq).text, expected_right_sql(conds))
+    rows = expected_rows(conds, bank_dataset, holds_right)
     assert rows  # the predicate keeps some rows
     assert list(execute(rq, bank_dataset).rows) == rows
 
