@@ -81,6 +81,8 @@ def _render_predicate(pred, col_ref):
 
 
 def _rebuild(node, left, right):
+    if node.op not in ("and", "or"):
+        raise ResolveError(f"unknown connective {node.op!r}")
     return Connective(node.op, left, right)
 
 
@@ -114,12 +116,15 @@ def resolve(ir, schema, graph):
         if isinstance(literal, float) and not math.isfinite(literal):
             raise ResolveError(f"literal {literal!r} is not a finite number")
         is_number = isinstance(literal, (int, float)) and not isinstance(literal, bool)
-        if op in NUMERIC_OPS and (not is_numeric or not is_number):
-            raise ResolveError(
-                f"comparator {op!r} needs a numeric column and literal; "
-                f"column {column!r} is {value_kind}, "
-                f"literal is {literal!r}"
-            )
+        if op in NUMERIC_OPS:
+            if not is_numeric or not is_number:
+                raise ResolveError(
+                    f"comparator {op!r} needs a numeric column and literal; "
+                    f"column {column!r} is {value_kind}, "
+                    f"literal is {literal!r}"
+                )
+        elif op != "=" and op != "<>":  # the lexer emits no other comparator
+            raise ResolveError(f"unknown comparator {op!r}")
         if is_numeric != is_number:
             raise ResolveError(
                 f"literal {literal!r} does not match {value_kind} column {column!r}"

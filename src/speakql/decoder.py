@@ -16,12 +16,23 @@ position that some grammar state has reached, it runs one Viterbi pass
 per word on the arcs leaving those states, shared by every such arc, and
 ends the pass at the frame where no state of the word survives. A word
 none of whose entry states can emit the position's symbol starts no
-pass there, since that pass could end nowhere. Every
-state path is held as a value, a tuple compared with `<`. The steps are
-linear in the frames times the span a word survives; each step copies a
-path of up to that span, and each kept prefix one of up to its frames.
-A model whose words never die takes steps quadratic, and copies cubic,
-in the frames. `viterbi_word` reads one span of the same pass.
+pass there, since that pass could end nowhere.
+
+Dead-cell rule: a word end at a position before the last, whose symbol
+no word's entry can emit, gets no (position, grammar state) cell (the
+word-end rule of token passing, Young, Russell & Thornton, 1989). Such
+a cell would be read only to start passes at its position, and none can
+start there, so it could offer nothing to any later cell. The cells
+after the last frame are always kept, since the accept step reads them,
+and positions left with no cell are passed over. Every kept cell gets
+the same offers in the same order as when every end has a cell, so
+scores, decodings and ties are unchanged.
+
+Every state path is held as a value, a tuple compared with `<`. The
+steps are linear in the frames times the span a word survives; each step
+copies a path of up to that span, and each kept prefix one of up to its
+frames. A model whose words never die takes steps quadratic, and copies
+cubic, in the frames. `viterbi_word` reads one span of the same pass.
 
 Tie contract: every score is the float sum the exhaustive enumeration
 computes, in the same order, and two decodings tie when those sums are
@@ -142,9 +153,12 @@ def load_models(model_text):
         raise ModelConfigError("'phoneme_alphabet' must list symbols")
     alphabet = set(alphabet)
 
-    hmms = []
+    hmms, known_words = [], set()
     for raw in section(doc.get("words"), list, "'words'", ModelConfigError):
-        hmms.append(_load_word(raw, alphabet))
+        hmms.append(hmm := _load_word(raw, alphabet))
+        if hmm.word in known_words:
+            raise ModelConfigError(f"duplicate word name {hmm.word!r}")
+        known_words.add(hmm.word)
     if not hmms:
         raise ModelConfigError("'words' must declare at least one word model")
 
@@ -154,7 +168,6 @@ def load_models(model_text):
     accepting = _names(raw_fsa.get("accepting"), "grammar 'accepting'")
     if not isinstance(start, Hashable) or start not in states or not accepting <= states:
         raise ModelConfigError("grammar start/accepting states must be members of 'states'")
-    known_words = {h.word for h in hmms}
     arcs = []
     for arc in section(raw_fsa.get("arcs"), list, "grammar 'arcs'", ModelConfigError):
         arc = section(arc, dict, "a grammar arc", ModelConfigError, _ARC_KEYS)
@@ -236,19 +249,16 @@ def _word_ends(observations, start, hmm):
              for idx, score in hmm.log_entry.get(observations[start], {}).items()}
     end, n = start + 1, len(observations)
     while cells:
-        best, best_path = NEG_INF, None
-        for idx, (score, path) in cells.items():
-            if idx in exits:
-                total = score + exits[idx]
+        if end < n:
+            symbol = observations[end]
+        else:  # the last frame: exits only
+            moves = {}
+        best, best_path, nxt = NEG_INF, None, {}
+        for src, (score, path) in cells.items():
+            if src in exits:
+                total = score + exits[src]
                 if total > best or (total == best and path < best_path):
                     best, best_path = total, path
-        if best_path is not None:
-            ends.append((end, best, best_path))
-        if end == n:
-            break
-        symbol = observations[end]
-        nxt = {}
-        for src, (score, path) in cells.items():
             for dst, p, emits in moves.get(src, ()):
                 e = emits.get(symbol)
                 if e is not None:
@@ -256,6 +266,10 @@ def _word_ends(observations, start, hmm):
                     old = nxt.get(dst)
                     if old is None or step > old[0] or (step == old[0] and path < old[1][:-1]):
                         nxt[dst] = (step, path + (dst,))
+        if best_path is not None:
+            ends.append((end, best, best_path))
+        if end == n:
+            break
         cells = nxt
         end += 1
     return ends
@@ -283,21 +297,27 @@ def decode_sentence(observations, hmms, fsa):
     Each word is scored by one `_word_ends` pass per start position,
     shared by every arc that uses it, over the log tables the models
     built when they were made; a word whose entry cannot emit the
-    position's symbol gets no pass there. A (position, grammar state) cell
-    keeps its best score and, per word count, the smallest prefix (words,
-    state path) that reaches it, compared as tuples: that order survives
-    a common extension only between word sequences of equal length.
+    position's symbol gets no pass there, and a position before the last
+    whose symbol no word's entry can emit gets no cells (the dead-cell
+    rule above). A (position, grammar state) cell keeps its best score
+    and, per word count, the smallest prefix (words, state path) that
+    reaches it, compared as tuples: that order survives a common
+    extension only between word sequences of equal length.
     """
     if not observations:
         raise ValueError("observations must be nonempty")
     by_name = {h.word: h for h in hmms}
     arcs_from = fsa.arcs_from
     n = len(observations)
+    startable = {symbol for h in by_name.values() for symbol in h.log_entry}
 
-    # cells[pos][grammar state] = (score, {word count: (words, state path)})
-    cells = [{} for _ in range(n + 1)]
-    cells[0][fsa.start] = (0.0, {0: ((), ())})
+    # cells[pos][grammar state] = (score, {word count: (words, state path)}),
+    # None at a position before n whose symbol no word can start with
+    cells = [{} if symbol in startable else None for symbol in observations] + [{}]
+    cells[0] = {fsa.start: (0.0, {0: ((), ())})}
     for i in range(n):
+        if not cells[i]:
+            continue
         symbol = observations[i]
         passes = {}
         for state, (score, prefixes) in cells[i].items():
@@ -308,7 +328,8 @@ def decode_sentence(observations, hmms, fsa):
                     ends = passes[word] = (
                         _word_ends(observations, i, hmm) if symbol in hmm.log_entry else ())
                 for end, wscore, path in ends:
-                    _extend(cells[end], dst, score + wscore, prefixes, word, path)
+                    if (cell_map := cells[end]) is not None:
+                        _extend(cell_map, dst, score + wscore, prefixes, word, path)
         cells[i] = None
 
     winner, best = None, NEG_INF

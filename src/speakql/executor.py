@@ -40,7 +40,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DatasetError
+from .errors import DatasetError, ResolveError
 from .parser import Connective, fold_predicate
 
 _COMPARE = {
@@ -125,11 +125,16 @@ def load_dataset(directory, schema):
     return Dataset(tables)
 
 
-def _conjuncts(pred):
+def _conjuncts(pred, see):
     """Top-level AND conjuncts of `pred`, each a comparison or an OR-rooted
-    subtree, paired with the names of the tables its comparisons read."""
+    subtree, paired with the names of the tables its comparisons read;
+    `see(table, column)` is called on each comparison's column."""
     if pred is None:
         return []
+
+    def leaf(c):
+        see(c.table, c.column)
+        return [(c, {c.table})]
 
     def join(node, left, right):
         if node.op == "and":
@@ -137,7 +142,7 @@ def _conjuncts(pred):
             return left
         return [(node, set().union(*(tables for _, tables in left + right)))]
 
-    return fold_predicate(pred, lambda c: [(c, {c.table})], join)
+    return fold_predicate(pred, leaf, join)
 
 
 def _filter(items, pred, index_of):
@@ -219,20 +224,31 @@ def execute(rq, ds):
             raise DatasetError(f"table {name!r} not present in dataset")
     # case-insensitive, as in SQL: tables may spell a shared column differently
     positions = {t: {c.lower(): i for i, c in enumerate(ds.tables[t].header)} for t in plan.tables}
+    # every column the plan reads, looked up once and before any row is
+    # read: (table, column as spelled) -> its position in the table's rows
+    column = {}
 
-    def column(table, name):
-        if (i := positions[table].get(name.lower())) is None:
-            raise DatasetError(f"dataset table {table!r} has no column {name!r}")
-        return i
+    def see(table, name):
+        if (table, name) not in column:
+            if table not in positions:
+                raise ResolveError(f"the plan reads table {table!r}, which it does not join")
+            if (i := positions[table].get(name.lower())) is None:
+                raise DatasetError(f"dataset table {table!r} has no column {name!r}")
+            column[table, name] = i
 
+    for t, c in rq.select_refs:
+        see(t, c)
+    for lt, lc, rt, rc in plan.conditions:
+        see(lt, lc)
+        see(rt, rc)
     local, residual = {t: [] for t in plan.tables}, []
-    for conjunct, tables in _conjuncts(rq.predicate_refs):
+    for conjunct, tables in _conjuncts(rq.predicate_refs, see):
         (local[[*tables][0]] if len(tables) == 1 else residual).append(conjunct)
     rows = {}
     # smallest first, ties in plan order: a table that keeps no row empties
     # the join, and no larger table is read
     for t in sorted(plan.tables, key=lambda t: len(ds.tables[t].rows)):
-        rows[t] = _read(ds.tables[t], local[t], lambda c: column(c.table, c.column))
+        rows[t] = _read(ds.tables[t], local[t], lambda c: column[c.table, c.column])
         if not rows[t]:
             return ResultSet(rq.select_refs, ())
 
@@ -241,7 +257,7 @@ def execute(rq, ds):
     combos, offset, width = rows[first], {first: 0}, len(ds.tables[first].header)
     for t in rest:
         links = [
-            (offset[other] + column(other, other_col), column(t, own_col))
+            (offset[other] + column[other, other_col], column[t, own_col])
             for lt, lc, rt, rc in plan.conditions
             for own, own_col, other, other_col in ((lt, lc, rt, rc), (rt, rc, lt, lc))
             if own == t and other in offset
@@ -261,7 +277,7 @@ def execute(rq, ds):
         width += len(ds.tables[t].header)
 
     for conjunct in residual:
-        combos = _filter(combos, conjunct, lambda c: offset[c.table] + column(c.table, c.column))
-    select = [operator.itemgetter(offset[t] + column(t, c)) for t, c in rq.select_refs]
+        combos = _filter(combos, conjunct, lambda c: offset[c.table] + column[c.table, c.column])
+    select = [operator.itemgetter(offset[t] + column[t, c]) for t, c in rq.select_refs]
     # one column at a time; a tuple built through a list is not over-allocated
     return ResultSet(rq.select_refs, tuple([*zip(*[map(get, combos) for get in select])]))

@@ -224,6 +224,30 @@ def test_leftmost_bad_comparison_is_reported(bank_schema, bank_graph):
         assert str(exc.value) == error
 
 
+BALANCE_ABOVE_1 = Comparison("balance", ">", 1)
+
+
+@pytest.mark.parametrize("pred, error", [
+    (Comparison("balance", "like", 1), "unknown comparator 'like'"),
+    (Comparison("balance", "==", 1), "unknown comparator '=='"),
+    (Comparison("balance", ["="], 1), "unknown comparator ['=']"),
+    (Connective("and", BALANCE_ABOVE_1, Comparison("balance", "!=", 1)),
+     "unknown comparator '!='"),
+    (Connective("xor", BALANCE_ABOVE_1, Comparison("balance", "<", 600)),
+     "unknown connective 'xor'"),
+    (Connective("AND", BALANCE_ABOVE_1, BALANCE_ABOVE_1), "unknown connective 'AND'"),
+    (Connective("or", BALANCE_ABOVE_1, Connective("nand", BALANCE_ABOVE_1, BALANCE_ABOVE_1)),
+     "unknown connective 'nand'"),
+], ids=["like", "double-equals", "unhashable", "right-of-and", "xor", "upper-case", "nested"])
+def test_resolve_rejects_unknown_operators(bank_schema, bank_graph, pred, error):
+    """A hand-built IR may hold only the comparators and connectives the
+    lexer emits: any other would be written into the SQL as it is, while
+    the executor reads no such operator."""
+    with pytest.raises(ResolveError) as exc:
+        resolve(QueryIR(("balance",), None, pred), bank_schema, bank_graph)
+    assert str(exc.value) == error
+
+
 CASE_VARIANT_SCHEMA = """
 tables:
   - name: ta

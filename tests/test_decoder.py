@@ -71,6 +71,20 @@ grammar: {states: [q], start: q, accepting: [q], arcs: [{from: q, word: nope, to
     assert "nope" in str(exc.value)
 
 
+def test_duplicate_word_name():
+    # else decoding would read only the last model of the name
+    doc = MINIMAL_MODELS.replace("words:\n", """words:
+  - name: w
+    states:
+      - {phoneme: a, emissions: {a: 1.0}}
+    entry: {0: 1.0}
+    exit: {0: 1.0}
+""", 1)
+    with pytest.raises(ModelConfigError) as exc:
+        load_models(doc)
+    assert str(exc.value) == "duplicate word name 'w'"
+
+
 def test_transition_mass_violation():
     doc = """
 phoneme_alphabet: [a]
@@ -552,3 +566,43 @@ def test_decode_sentence_ties_over_ten_frames(obs):
     got = decode_sentence(list(obs), hmms, fsa)
     want = oracles.best_sentence(list(obs), hmms, fsa)
     assert (got.log_probability, got.words, got.state_path) == want
+
+
+# No word's entry emits m, so an end at a frame of m before the last gets
+# no cell: nothing could start from it.
+ONSET_WORDS = [_onset_word("a", "x"), _onset_word("b", "y")]
+ONSET_GRAMMAR = GrammarFsa(frozenset("SF"), "S", frozenset("F"), tuple(
+    (src, h.word, "F") for src in "SF" for h in ONSET_WORDS))
+
+
+@pytest.mark.parametrize(
+    "obs", ["xmmmymm", "xmxmmym", "ymmmmxmmxm", "xxmyxm", "xmmmm", "mxm", "xmyx"])
+def test_ends_where_no_word_starts_decode_as_enumeration(obs):
+    # words end inside runs of m, and every stream but one ends on m
+    want = oracles.best_sentence(list(obs), ONSET_WORDS, ONSET_GRAMMAR)
+    if want is None:
+        with pytest.raises(DecodeError):
+            decode_sentence(list(obs), ONSET_WORDS, ONSET_GRAMMAR)
+        return
+    got = decode_sentence(list(obs), ONSET_WORDS, ONSET_GRAMMAR)
+    assert (got.log_probability, got.words, got.state_path) == want
+
+
+def test_word_that_ends_only_at_the_last_frame():
+    # e reads exactly y m m, so after a on x m it can end only after the
+    # last frame, whose symbol m starts no word: that end keeps its cell
+    e = WordHmm(
+        word="e",
+        states=(PhonemeState("e", {"y": 1.0}), PhonemeState("e", {"m": 1.0}),
+                PhonemeState("e", {"m": 1.0})),
+        transitions={0: ((1, 1.0),), 1: ((2, 1.0),)},
+        entry=((0, 1.0),),
+        exit={2: 1.0},
+    )
+    hmms = [_onset_word("a", "x"), e]
+    fsa = GrammarFsa(frozenset("SMF"), "S", frozenset("F"), (("S", "a", "M"), ("M", "e", "F")))
+    obs = list("xmymm")
+    got = decode_sentence(obs, hmms, fsa)
+    want = oracles.best_sentence(obs, hmms, fsa)
+    assert (got.log_probability, got.words, got.state_path) == want
+    assert got.words == ("a", "e")

@@ -236,19 +236,40 @@ def test_one_link_matches_integer_with_real():
 NO_COLUMN_B = "dataset table 't' has no column 'b'"
 
 
-@pytest.mark.parametrize("select, pred, plan, error", [
+LACKING = [
     ((("t", "a"), ("t", "b")), None, JoinPlan(("t",), ()), NO_COLUMN_B),
     ((("t", "a"),), BoundComparison("t", "b", "=", "x"), JoinPlan(("t",), ()), NO_COLUMN_B),
     ((("t", "a"),), None, JoinPlan(("t", "u"), (("t", "b", "u", "k"),)), NO_COLUMN_B),
     ((("v", "a"),), None, JoinPlan(("v",), ()), "table 'v' not present in dataset"),
-], ids=["select-column", "predicate-column", "join-column", "table"])
-def test_dataset_lacking_what_the_plan_reads(select, pred, plan, error):
+]
+
+
+@pytest.mark.parametrize("select, pred, plan, error, rows", [
+    *[(*case, (("x",),)) for case in LACKING], *[(*case, ()) for case in LACKING[:3]],
+], ids=["select-column", "predicate-column", "join-column", "table",
+        "select-column-empty", "predicate-column-empty", "join-column-empty"])
+def test_dataset_lacking_what_the_plan_reads(select, pred, plan, error, rows):
     """A dataset not loaded for the plan's schema: a planned table or
-    column it lacks is named in a DatasetError."""
-    ds = Dataset({"t": TableData(("a",), (("x",),)), "u": TableData(("k",), ((1,),))})
+    column it lacks is named in a DatasetError, also when a table has no
+    rows, which ends the query before any other is read."""
+    ds = Dataset({"t": TableData(("a",), rows), "u": TableData(("k",), ((1,),))})
     with pytest.raises(DatasetError) as exc:
         execute(ResolvedQuery(select, pred, plan), ds)
     assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("select, pred, plan", [
+    ((("u", "k"),), None, JoinPlan(("t",), ())),
+    ((("t", "a"),), BoundComparison("u", "k", "=", 1), JoinPlan(("t",), ())),
+    ((("t", "a"),), None, JoinPlan(("t",), (("t", "a", "u", "k"),))),
+], ids=["select", "predicate", "join"])
+def test_plan_reading_a_table_it_does_not_join(select, pred, plan):
+    """A hand-built plan whose select list, predicate or join conditions
+    read a table outside its own tables, which its SQL's FROM list leaves out."""
+    ds = Dataset({"t": TableData(("a",), (("x",),)), "u": TableData(("k",), ((1,),))})
+    with pytest.raises(ResolveError) as exc:
+        execute(ResolvedQuery(select, pred, plan), ds)
+    assert str(exc.value) == "the plan reads table 'u', which it does not join"
 
 
 @pytest.mark.parametrize("side", ["probe", "build", "both"])
