@@ -19,8 +19,8 @@ none of whose entry states can emit the position's symbol starts no
 pass there, since that pass could end nowhere.
 
 Dead-cell rule: a word end at a position before the last, whose symbol
-no word's entry can emit, gets no (position, grammar state) cell (the
-word-end rule of token passing, Young, Russell & Thornton, 1989). Such
+no word's entry can emit, gets no cell at that position (the word-end
+rule of token passing, Young, Russell & Thornton, 1989). Such
 a cell would be read only to start passes at its position, and none can
 start there, so it could offer nothing to any later cell. The cells
 after the last frame are always kept, since the accept step reads them,
@@ -32,14 +32,18 @@ Every state path is held as a value, a tuple compared with `<`. The
 steps are linear in the frames times the span a word survives; each step
 copies a path of up to that span, and each kept prefix one of up to its
 frames. A model whose words never die takes steps quadratic, and copies
-cubic, in the frames. `viterbi_word` reads one span of the same pass.
+cubic, in the frames, and each word count that reaches a position's
+cells makes offers of its own. `viterbi_word` reads one span of a pass.
 
 Tie contract: every score is the float sum the exhaustive enumeration
 computes, in the same order, and two decodings tie when those sums are
-equal. A (position, grammar state) cell keeps its best score and, for
-each word count, the smallest (words, state path) prefix reaching it,
-which is exact for ties of equal prefix scores. Prefixes whose scores
-differ but round to the same total after an extension are not tied.
+equal. A (position, grammar state, word count) cell keeps the
+highest-scoring prefix (words, state path) reaching it, and of equal
+scores the smallest, compared as tuples. Two prefixes of one cell have
+words and state paths of equal lengths, so that order survives any
+common extension, and ties across word counts are exact. Prefixes of
+one word count whose scores differ but round to the same total after
+an extension are not tied: the cell kept only the higher.
 """
 
 from __future__ import annotations
@@ -153,12 +157,9 @@ def load_models(model_text):
         raise ModelConfigError("'phoneme_alphabet' must list symbols")
     alphabet = set(alphabet)
 
-    hmms, known_words = [], set()
-    for raw in section(doc.get("words"), list, "'words'", ModelConfigError):
-        hmms.append(hmm := _load_word(raw, alphabet))
-        if hmm.word in known_words:
-            raise ModelConfigError(f"duplicate word name {hmm.word!r}")
-        known_words.add(hmm.word)
+    raw_words = section(doc.get("words"), list, "'words'", ModelConfigError)
+    hmms = [_load_word(raw, alphabet) for raw in raw_words]
+    known_words = _by_name(hmms)
     if not hmms:
         raise ModelConfigError("'words' must declare at least one word model")
 
@@ -180,6 +181,16 @@ def load_models(model_text):
             raise ModelConfigError(f"arc references unknown word {word!r}")
         arcs.append((src, word, dst))
     return hmms, GrammarFsa(states, start, accepting, tuple(arcs))
+
+
+def _by_name(hmms):
+    """The word models by name; a repeated name is a `ModelConfigError`."""
+    by_name = {}
+    for hmm in hmms:
+        if hmm.word in by_name:
+            raise ModelConfigError(f"duplicate word name {hmm.word!r}")
+        by_name[hmm.word] = hmm
+    return by_name
 
 
 def _load_word(raw, alphabet):
@@ -292,35 +303,34 @@ def viterbi_word(observations, hmm):
 def decode_sentence(observations, hmms, fsa):
     """Joint best segmentation + grammar path + per-word state paths.
 
-    Exact dynamic program over (observation position, grammar state); the
-    grammar is unweighted so only acoustic likelihoods rank decodings.
-    Each word is scored by one `_word_ends` pass per start position,
-    shared by every arc that uses it, over the log tables the models
-    built when they were made; a word whose entry cannot emit the
-    position's symbol gets no pass there, and a position before the last
-    whose symbol no word's entry can emit gets no cells (the dead-cell
-    rule above). A (position, grammar state) cell keeps its best score
-    and, per word count, the smallest prefix (words, state path) that
-    reaches it, compared as tuples: that order survives a common
-    extension only between word sequences of equal length.
+    Exact dynamic program over (observation position, grammar state,
+    word count); the grammar is unweighted so only acoustic likelihoods
+    rank decodings. Each word is scored by one `_word_ends` pass per
+    start position, shared by every arc that uses it, over the log tables
+    the models built when they were made; a word whose entry cannot emit
+    the position's symbol gets no pass there, and a position before the
+    last whose symbol no word's entry can emit gets no cells (the
+    dead-cell rule above). Each cell keeps its best prefix by the tie
+    contract above, and so does the accept step over the accepting cells
+    after the last frame. A repeated word name raises `ModelConfigError`.
     """
     if not observations:
         raise ValueError("observations must be nonempty")
-    by_name = {h.word: h for h in hmms}
+    by_name = _by_name(hmms)
     arcs_from = fsa.arcs_from
     n = len(observations)
     startable = {symbol for h in by_name.values() for symbol in h.log_entry}
 
-    # cells[pos][grammar state] = (score, {word count: (words, state path)}),
+    # cells[pos][(grammar state, word count)] = (score, (words, state path)),
     # None at a position before n whose symbol no word can start with
     cells = [{} if symbol in startable else None for symbol in observations] + [{}]
-    cells[0] = {fsa.start: (0.0, {0: ((), ())})}
+    cells[0] = {(fsa.start, 0): (0.0, ((), ()))}
     for i in range(n):
         if not cells[i]:
             continue
         symbol = observations[i]
         passes = {}
-        for state, (score, prefixes) in cells[i].items():
+        for (state, k), (score, (words, spath)) in cells[i].items():
             for word, dst in arcs_from.get(state, ()):
                 ends = passes.get(word)
                 if ends is None:
@@ -328,34 +338,21 @@ def decode_sentence(observations, hmms, fsa):
                     ends = passes[word] = (
                         _word_ends(observations, i, hmm) if symbol in hmm.log_entry else ())
                 for end, wscore, path in ends:
-                    if (cell_map := cells[end]) is not None:
-                        _extend(cell_map, dst, score + wscore, prefixes, word, path)
+                    if (cell_map := cells[end]) is None:
+                        continue
+                    total, key = score + wscore, (dst, k + 1)
+                    best, kept = cell_map.get(key, (NEG_INF, None))
+                    if total >= best:
+                        # of a list: tuple() of a generator fills the runtime's freed-tuple caches
+                        prefix = (words + (word,), spath + tuple([(word, idx) for idx in path]))
+                        if total > best or prefix < kept:
+                            cell_map[key] = (total, prefix)
         cells[i] = None
 
     winner, best = None, NEG_INF
-    for state in fsa.accepting:
-        score, prefixes = cells[n].get(state, (NEG_INF, {}))
-        for prefix in prefixes.values():
-            if score > best or (score == best and prefix < winner):
-                winner, best = prefix, score
+    for (state, _), (score, prefix) in cells[n].items():
+        if state in fsa.accepting and (score > best or (score == best and prefix < winner)):
+            winner, best = prefix, score
     if winner is None:
         raise DecodeError("no accepting decoding with positive probability")
     return Decoding(winner[0], best, winner[1])
-
-
-def _extend(cell_map, dst, score, prefixes, word, path):
-    """Offer every prefix of a cell, extended by `word` along its state
-    `path`, to (end, dst)."""
-    cell = cell_map.get(dst)
-    if cell is None or score > cell[0]:
-        cell = cell_map[dst] = (score, {})
-    elif score < cell[0]:
-        return
-    # of a list: tuple() of a generator fills the runtime's freed-tuple caches
-    pairs = tuple([(word, idx) for idx in path])
-    kept = cell[1]
-    for k, (words, spath) in prefixes.items():
-        prefix = (words + (word,), spath + pairs)
-        old = kept.get(k + 1)
-        if old is None or prefix < old:
-            kept[k + 1] = prefix

@@ -85,6 +85,18 @@ def test_duplicate_word_name():
     assert str(exc.value) == "duplicate word name 'w'"
 
 
+def test_duplicate_word_name_in_a_model_list():
+    # else decoding would read only the last model of the name, which
+    # cannot emit a
+    first = WordHmm("w", (PhonemeState("w", {"a": 1.0}),), {}, ((0, 1.0),), {0: 1.0})
+    second = WordHmm("w", (PhonemeState("w", {"b": 1.0}),), {}, ((0, 1.0),), {0: 1.0})
+    fsa = GrammarFsa(frozenset("q"), "q", frozenset("q"), (("q", "w", "q"),))
+    assert decode_sentence(["a"], [first], fsa).words == ("w",)
+    with pytest.raises(ModelConfigError) as exc:
+        decode_sentence(["a"], [first, second], fsa)
+    assert str(exc.value) == "duplicate word name 'w'"
+
+
 def test_transition_mass_violation():
     doc = """
 phoneme_alphabet: [a]
@@ -397,23 +409,11 @@ def test_decode_sentence_matches_enumeration_on_all_tie_models():
     assert decodable >= 500
 
 
-# Cases of the sweep below where the decoder and the oracle return equal
-# scores but different decodings: the float-rounding tie of the decoder
-# docstring. In case 624, on x y x x y, the prefixes (b) and (a, b) reach
-# (frame 2, q2) with sums -2.3671236141316165 and -2.367123614131617; the
-# cell keeps only the larger, and after the common extension by c both
-# round to -5.427394408823179, where the oracle's tie-break picks
-# (a, b, c) and the decoder (a, c). An exact tie rule turns each into a
-# plain assert.
-ROUNDING_TIES = [624]
-
-
 def test_decode_sentence_matches_enumeration_on_random_log_models():
     # distinct logs, so a table that reads another state's or symbol's
     # probability changes the score
     rng = random.Random(2213)
     decodable = 0
-    misses = []
     for case in range(1000):
         hmms, fsa = _random_models(rng, lambda: rng.choice((0.25, 0.5, 0.75, 1.0)))
         obs = [rng.choice(("x", "y")) for _ in range(rng.randint(1, 5))]
@@ -424,11 +424,42 @@ def test_decode_sentence_matches_enumeration_on_random_log_models():
             continue
         decodable += 1
         got = decode_sentence(obs, hmms, fsa)
-        assert got.log_probability == want[0], (case, obs, hmms, fsa)
-        if (got.words, got.state_path) != want[1:]:
-            misses.append(case)
-    assert misses == ROUNDING_TIES
+        assert (got.log_probability, got.words, got.state_path) == want, (case, obs, hmms, fsa)
     assert decodable >= 300
+
+
+def test_rounding_tie_between_word_counts():
+    # case 624 of the sweep above: the prefixes (b) and (a, b) reach
+    # (frame 2, q2) with sums -2.3671236141316165 and -2.367123614131617,
+    # and after the common extension by c both round to -5.427394408823179,
+    # where the tie-break picks (a, b, c)
+    hmms = [
+        WordHmm("a", (PhonemeState("a", {"x": 0.5}),), {0: ((0, 0.75),)}, ((0, 0.5),), {0: 1.0}),
+        WordHmm(
+            "b",
+            (PhonemeState("b", {"y": 1.0, "x": 0.25}), PhonemeState("b", {"y": 0.75}),
+             PhonemeState("b", {"y": 1.0, "x": 0.75})),
+            {0: ((0, 1.0),), 1: ((1, 0.5),), 2: ()},
+            ((0, 0.5), (1, 1.0)),
+            {0: 0.75, 2: 0.75},
+        ),
+        WordHmm(
+            "c",
+            (PhonemeState("c", {"y": 0.5, "x": 1.0}), PhonemeState("c", {"x": 0.5}),
+             PhonemeState("c", {"x": 0.5, "y": 0.5})),
+            {0: ((0, 0.75), (2, 1.0)), 1: (), 2: ((2, 1.0),)},
+            ((0, 0.5), (1, 0.75)),
+            {2: 0.25},
+        ),
+    ]
+    arcs = (("q0", "a", "q0"), ("q0", "a", "q2"), ("q0", "b", "q2"), ("q1", "a", "q2"),
+            ("q1", "c", "q2"), ("q2", "a", "q1"), ("q2", "c", "q1"))
+    fsa = GrammarFsa(frozenset({"q0", "q1", "q2"}), "q0", frozenset({"q1"}), arcs)
+    obs = list("xyxxy")
+    got = decode_sentence(obs, hmms, fsa)
+    assert (got.log_probability, got.words, got.state_path) == oracles.best_sentence(obs, hmms, fsa)
+    assert got.words == ("a", "b", "c")
+    assert got.log_probability == -5.427394408823179
 
 
 def test_zero_probabilities_decode_as_enumeration():
@@ -551,6 +582,32 @@ def _flat_word(word, n, symbols):
     states = tuple(PhonemeState(word, {s: 1.0 for s in symbols}) for _ in range(n))
     transitions = {i: tuple((j, 1.0) for j in (i, i + 1) if j < n) for i in range(n)}
     return WordHmm(word, states, transitions, ((0, 1.0),), {n - 1: 1.0})
+
+
+def _looped_word(rng, word):
+    """Three self-looped states emitting x and y, entered at the first and
+    left from the last, each probability 0.5 or 1.0: their logs add up
+    exactly in any order, so every tie is one of equal scores."""
+    def p():
+        return rng.choice((0.5, 1.0))
+
+    states = tuple(PhonemeState(word, {"x": p(), "y": p()}) for _ in range(3))
+    transitions = {i: tuple((j, p()) for j in (i, i + 1) if j < 3) for i in range(3)}
+    return WordHmm(word, states, transitions, ((0, p()),), {2: p()})
+
+
+def test_looping_grammar_over_long_lived_words_matches_enumeration():
+    # no word dies before the stream ends, and one grammar state loops
+    # over every word, so a late frame is reached with one word and with
+    # two, each count in a cell of its own
+    rng = random.Random(1984)
+    for _ in range(30):
+        hmms = [_looped_word(rng, word) for word in "abcd"[: rng.randint(3, 4)]]
+        fsa = GrammarFsa(frozenset("q"), "q", frozenset("q"), tuple(("q", h.word, "q") for h in hmms))
+        obs = [rng.choice("xy") for _ in range(rng.randint(7, 8))]
+        got = decode_sentence(obs, hmms, fsa)
+        want = oracles.best_sentence(obs, hmms, fsa)
+        assert (got.log_probability, got.words, got.state_path) == want, (obs, hmms)
 
 
 @pytest.mark.parametrize("obs", ["xyxyxyxyxy", "xxxxxxxxxy", "yyyyyyyyy", "xxyxxyxxyxx"])
