@@ -12,6 +12,9 @@ from .parser import Connective, Predicate, fold_predicate, format_literal
 from .schema import join_path
 
 NUMERIC_OPS = (">", "<", ">=", "<=")
+# tuples, so that an unhashable operator is unknown rather than a TypeError
+COMPARATORS = ("=", "<>", *NUMERIC_OPS)
+CONNECTIVES = ("and", "or")
 
 # Keywords that sqlite will not take as a bare table or column name.
 # Names spelled as one of them, in any case, are double-quoted in SQL;
@@ -61,27 +64,32 @@ def _render_predicate(pred, col_ref):
     """SQL text of a predicate, its columns written by `col_ref`, and
     whether it has an OR connective. It is written left to right, as
     `ir_to_text` writes the IR, with a child connective of the other kind
-    in parentheses to keep the IR's grouping: SQL binds AND tighter than OR."""
+    in parentheses to keep the IR's grouping: SQL binds AND tighter than OR.
+    A comparator or connective that `resolve` rejects raises its `ResolveError`."""
     parts, ops, stack = [], set(), [pred]
     while stack:
         node = stack.pop()
         if type(node) is str:
             parts.append(node)
         elif isinstance(node, Connective):
-            ops.add(op := node.op)
+            if (op := node.op) not in CONNECTIVES:
+                raise ResolveError(f"unknown connective {op!r}")
+            ops.add(op)
             for entry in (node.right, f" {op.upper()} ", node.left):
                 if isinstance(entry, Connective) and entry.op != op:
                     stack += (")", entry, "(")
                 else:
                     stack.append(entry)
         else:
+            if node.op not in COMPARATORS:
+                raise ResolveError(f"unknown comparator {node.op!r}")
             literal = format_literal(node.literal)
             parts.append(f"{col_ref(node.table, node.column)} {node.op} {literal}")
     return "".join(parts), "or" in ops
 
 
 def _rebuild(node, left, right):
-    if node.op not in ("and", "or"):
+    if node.op not in CONNECTIVES:
         raise ResolveError(f"unknown connective {node.op!r}")
     return Connective(node.op, left, right)
 

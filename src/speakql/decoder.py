@@ -312,7 +312,8 @@ def decode_sentence(observations, hmms, fsa):
     last whose symbol no word's entry can emit gets no cells (the
     dead-cell rule above). Each cell keeps its best prefix by the tie
     contract above, and so does the accept step over the accepting cells
-    after the last frame. A repeated word name raises `ModelConfigError`.
+    after the last frame. A repeated word name raises `ModelConfigError`,
+    and so does an arc whose word has no model, when its pass is first needed.
     """
     if not observations:
         raise ValueError("observations must be nonempty")
@@ -334,7 +335,8 @@ def decode_sentence(observations, hmms, fsa):
             for word, dst in arcs_from.get(state, ()):
                 ends = passes.get(word)
                 if ends is None:
-                    hmm = by_name[word]
+                    if (hmm := by_name.get(word)) is None:
+                        raise ModelConfigError(f"arc references unknown word {word!r}")
                     ends = passes[word] = (
                         _word_ends(observations, i, hmm) if symbol in hmm.log_entry else ())
                 for end, wscore, path in ends:

@@ -40,6 +40,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .builder import COMPARATORS
 from .errors import DatasetError, ResolveError
 from .parser import Connective, fold_predicate
 
@@ -128,18 +129,28 @@ def load_dataset(directory, schema):
 def _conjuncts(pred, see):
     """Top-level AND conjuncts of `pred`, each a comparison or an OR-rooted
     subtree, paired with the names of the tables its comparisons read;
-    `see(table, column)` is called on each comparison's column."""
+    `see(table, column)` is called on each comparison's column. An
+    operator or a literal that `resolve` rejects raises its `ResolveError`."""
     if pred is None:
         return []
 
     def leaf(c):
         see(c.table, c.column)
+        literal = c.literal
+        if isinstance(literal, float) and not math.isfinite(literal):
+            raise ResolveError(f"literal {literal!r} is not a finite number")
+        if c.op not in COMPARATORS:
+            raise ResolveError(f"unknown comparator {c.op!r}")
+        if isinstance(literal, bool) or not isinstance(literal, (int, float, str)):
+            raise ResolveError(f"literal {literal!r} is neither a number nor a string")
         return [(c, {c.table})]
 
     def join(node, left, right):
         if node.op == "and":
             left += right
             return left
+        if node.op != "or":
+            raise ResolveError(f"unknown connective {node.op!r}")
         return [(node, set().union(*(tables for _, tables in left + right)))]
 
     return fold_predicate(pred, leaf, join)

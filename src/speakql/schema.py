@@ -10,16 +10,16 @@ equalities on those shared names. A graph indexes each table's
 neighbours once, sorted by name. `join_path` approximates the Steiner
 tree greedily: the required tables are taken in declaration order,
 and each one not yet selected attaches by one breadth-first search
-outward from the whole selected set. Walking back from the new table,
-always to the smallest-named neighbour one step nearer, gives the
-shortest attaching path and, among those, the lexicographically
-smallest one, so every tie-break is deterministic.
+from it, taking neighbours in name order and stopping at the first
+selected table it reaches. Each level's tables are reached in the
+lexicographic order of their paths from the new table, so its parent
+links give the shortest attaching path and, among those, the
+lexicographically smallest one: every tie-break is deterministic.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -112,6 +112,8 @@ class SchemaGraph:
     def adjacency(self):
         """Each table's neighbours, sorted by name."""
         adjacency = {t: [] for t in self.nodes}
+        if unknown := {t for pair in self.edges for t in pair}.difference(adjacency):
+            raise ValueError(f"edge table {min(unknown)!r} is not in the schema graph")
         for a, b in self.edges:
             adjacency[a].append(b)
             adjacency[b].append(a)
@@ -176,22 +178,20 @@ def tables_owning(schema, column_name):
 def _attach(adjacency, selected, table):
     """Shortest path from the `selected` set to `table`, or None if none
     exists. Read from `table` back, it is the lexicographically smallest
-    of the shortest paths."""
-    dist = dict.fromkeys(selected, 0)
-    frontier = deque(selected)
-    while table not in dist and frontier:
-        cur = frontier.popleft()
+    of the shortest paths: one breadth-first search from `table`, taking
+    neighbours in name order, stops at the first selected table it reaches."""
+    parent, frontier = {table: None}, [table]
+    for cur in frontier:  # a list read while it grows: a FIFO queue
         for n in adjacency[cur]:
-            if n not in dist:
-                dist[n] = dist[cur] + 1
+            if n not in parent:
+                parent[n] = cur
+                if n in selected:
+                    path = [n]
+                    while n != table:
+                        path.append(n := parent[n])
+                    return path
                 frontier.append(n)
-    if table not in dist:
-        return None
-    path = [table]
-    while dist[path[-1]]:
-        nearer = dist[path[-1]] - 1
-        path.append(next(n for n in adjacency[path[-1]] if dist.get(n) == nearer))
-    return path[::-1]
+    return None
 
 
 def join_path(graph, required):
@@ -200,7 +200,7 @@ def join_path(graph, required):
     Greedy Steiner approximation (Takahashi and Matsuyama 1980): start
     from the first required table in declaration order; each later one
     not yet selected attaches by its shortest path to the selected set,
-    found by one breadth-first search from that whole set. Tables are
+    found by one breadth-first search from that table. Tables are
     listed in the order they were selected, and each path edge adds one
     equality per shared column, sorted by name.
     """

@@ -12,7 +12,7 @@ import pytest
 import speakql
 from speakql.builder import BoundComparison, ResolvedQuery, generate_sql, resolve
 from speakql.errors import ResolveError, SpeakqlError
-from speakql.executor import execute, load_dataset
+from speakql.executor import Dataset, TableData, execute, load_dataset
 from speakql.lexer import generate_lexicon, tokenize
 from speakql.parser import Comparison, Connective, QueryIR, ir_to_text, parse
 from speakql.schema import JoinPlan, build_graph, load_schema
@@ -227,24 +227,75 @@ def test_leftmost_bad_comparison_is_reported(bank_schema, bank_graph):
 BALANCE_ABOVE_1 = Comparison("balance", ">", 1)
 
 
-@pytest.mark.parametrize("pred, error", [
-    (Comparison("balance", "like", 1), "unknown comparator 'like'"),
-    (Comparison("balance", "==", 1), "unknown comparator '=='"),
-    (Comparison("balance", ["="], 1), "unknown comparator ['=']"),
-    (Connective("and", BALANCE_ABOVE_1, Comparison("balance", "!=", 1)),
-     "unknown comparator '!='"),
-    (Connective("xor", BALANCE_ABOVE_1, Comparison("balance", "<", 600)),
-     "unknown connective 'xor'"),
-    (Connective("AND", BALANCE_ABOVE_1, BALANCE_ABOVE_1), "unknown connective 'AND'"),
-    (Connective("or", BALANCE_ABOVE_1, Connective("nand", BALANCE_ABOVE_1, BALANCE_ABOVE_1)),
-     "unknown connective 'nand'"),
-], ids=["like", "double-equals", "unhashable", "right-of-and", "xor", "upper-case", "nested"])
+UNKNOWN_OPERATORS = [
+    pytest.param(Comparison("balance", "like", 1), "unknown comparator 'like'", id="like"),
+    pytest.param(Comparison("balance", "==", 1), "unknown comparator '=='", id="double-equals"),
+    pytest.param(Comparison("balance", ["="], 1), "unknown comparator ['=']", id="unhashable"),
+    pytest.param(Connective("and", BALANCE_ABOVE_1, Comparison("balance", "!=", 1)),
+                 "unknown comparator '!='", id="right-of-and"),
+    pytest.param(Connective("xor", BALANCE_ABOVE_1, Comparison("balance", "<", 600)),
+                 "unknown connective 'xor'", id="xor"),
+    pytest.param(Connective("AND", BALANCE_ABOVE_1, BALANCE_ABOVE_1),
+                 "unknown connective 'AND'", id="upper-case"),
+    pytest.param(
+        Connective("or", BALANCE_ABOVE_1, Connective("nand", BALANCE_ABOVE_1, BALANCE_ABOVE_1)),
+        "unknown connective 'nand'", id="nested"),
+]
+
+
+@pytest.mark.parametrize("pred, error", UNKNOWN_OPERATORS)
 def test_resolve_rejects_unknown_operators(bank_schema, bank_graph, pred, error):
     """A hand-built IR may hold only the comparators and connectives the
     lexer emits: any other would be written into the SQL as it is, while
     the executor reads no such operator."""
     with pytest.raises(ResolveError) as exc:
         resolve(QueryIR(("balance",), None, pred), bank_schema, bank_graph)
+    assert str(exc.value) == error
+
+
+def bound_to_account(pred):
+    """The IR predicate with each comparison bound to `account`."""
+    if isinstance(pred, Connective):
+        return Connective(pred.op, bound_to_account(pred.left), bound_to_account(pred.right))
+    return BoundComparison("account", pred.column, pred.op, pred.literal)
+
+
+@pytest.mark.parametrize("pred, error", UNKNOWN_OPERATORS)
+def test_sql_and_rows_reject_unknown_operators(bank_dataset, pred, error):
+    """A hand-built resolved query gets `resolve`'s error for an operator
+    it rejects, else the SQL would write it as it is while the executor
+    reads another operator or none."""
+    rq = ResolvedQuery((("account", "balance"),), bound_to_account(pred),
+                       JoinPlan(("account",), ()))
+    for stage in (generate_sql, lambda rq: execute(rq, bank_dataset)):
+        with pytest.raises(ResolveError) as exc:
+            stage(rq)
+        assert str(exc.value) == error
+
+
+class UnreadRows(tuple):
+    """Rows that fail the test if the executor reads them."""
+
+    def _read(self, *_):
+        raise AssertionError("a row was read")
+
+    __len__ = __iter__ = __getitem__ = _read
+
+
+@pytest.mark.parametrize("literal, error", [
+    (None, "literal None is neither a number nor a string"),
+    (True, "literal True is neither a number nor a string"),
+    (b"x", "literal b'x' is neither a number nor a string"),
+    (float("inf"), "literal inf is not a finite number"),
+    (float("nan"), "literal nan is not a finite number"),
+], ids=["none", "bool", "bytes", "inf", "nan"])
+def test_execute_rejects_literals_before_reading_rows(literal, error):
+    """`execute` rejects a literal that `resolve` rejects before it reads
+    a row, else it would compare the rows with it or fail mid-scan."""
+    rq = ResolvedQuery((("t", "a"),), BoundComparison("t", "v", ">", literal), JoinPlan(("t",), ()))
+    ds = Dataset({"t": TableData(("a", "v"), UnreadRows(((1, 5), (2, 7))))})
+    with pytest.raises(ResolveError) as exc:
+        execute(rq, ds)
     assert str(exc.value) == error
 
 

@@ -97,6 +97,15 @@ def test_duplicate_word_name_in_a_model_list():
     assert str(exc.value) == "duplicate word name 'w'"
 
 
+def test_arc_word_missing_from_a_model_list():
+    # a hand-built grammar may name a word that load_models would reject
+    w = WordHmm("w", (PhonemeState("w", {"a": 1.0}),), {}, ((0, 1.0),), {0: 1.0})
+    fsa = GrammarFsa(frozenset("q"), "q", frozenset("q"), (("q", "v", "q"),))
+    with pytest.raises(ModelConfigError) as exc:
+        decode_sentence(["a"], [w], fsa)
+    assert str(exc.value) == "arc references unknown word 'v'"
+
+
 def test_transition_mass_violation():
     doc = """
 phoneme_alphabet: [a]

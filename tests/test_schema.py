@@ -300,6 +300,14 @@ def test_join_path_names_unknown_table(bank_graph):
         join_path(bank_graph, set())
 
 
+def test_join_path_names_unknown_edge_table():
+    # a hand-built graph may have an edge to a table it does not list
+    graph = SchemaGraph(("A", "B"), {frozenset(("A", "Z")): frozenset({"k"})})
+    with pytest.raises(ValueError) as exc:
+        join_path(graph, {"A", "B"})
+    assert str(exc.value) == "edge table 'Z' is not in the schema graph"
+
+
 def test_join_path_deterministic(bank_graph):
     plans = [join_path(bank_graph, {"customer", "loan", "account"}) for _ in range(5)]
     assert all(p == plans[0] for p in plans)
