@@ -60,12 +60,13 @@ def _qualified(table, column):
     return f"{_quote(table)}.{_quote(column)}"
 
 
-def _render_predicate(pred, col_ref):
+def _render_predicate(pred, col_ref, tables):
     """SQL text of a predicate, its columns written by `col_ref`, and
     whether it has an OR connective. It is written left to right, as
     `ir_to_text` writes the IR, with a child connective of the other kind
     in parentheses to keep the IR's grouping: SQL binds AND tighter than OR.
-    A comparator or connective that `resolve` rejects raises its `ResolveError`."""
+    A comparator or connective that `resolve` rejects raises its `ResolveError`,
+    and so does a comparison on a table outside `tables`, as in `execute`."""
     parts, ops, stack = [], set(), [pred]
     while stack:
         node = stack.pop()
@@ -81,6 +82,8 @@ def _render_predicate(pred, col_ref):
                 else:
                     stack.append(entry)
         else:
+            if node.table not in tables:
+                raise ResolveError(f"the plan reads table {node.table!r}, which it does not join")
             if node.op not in COMPARATORS:
                 raise ResolveError(f"unknown comparator {node.op!r}")
             literal = format_literal(node.literal)
@@ -99,6 +102,8 @@ def resolve(ir, schema, graph):
 
     Each column, as the query spells it, is bound once per query, the
     first time it is seen; every comparison still checks its own literal."""
+    if not ir.select_columns:
+        raise ResolveError("the query selects no column")
     scope = None if ir.scope_table is None else schema.table(ir.scope_table)
     bindings = {}  # column -> (table name, is numeric, value kind)
 
@@ -150,20 +155,30 @@ def resolve(ir, schema, graph):
 
 def generate_sql(rq):
     """Deterministic single-line SQL: user predicate conjuncts first, join
-    conditions appended with AND; columns qualified only for multi-table plans."""
+    conditions appended with AND; columns qualified only for multi-table plans.
+    A query that `execute` rejects for its select list or for a table its
+    plan does not join raises the same `ResolveError`, in the same order."""
     plan = rq.join_plan
-    col_ref = _qualified if len(plan.tables) > 1 else lambda table, column: _quote(column)
+    tables = plan.tables
+    if not rq.select_refs:
+        raise ResolveError("the query selects no column")
+    col_ref = _qualified if len(tables) > 1 else lambda table, column: _quote(column)
 
-    select = "SELECT " + ", ".join(col_ref(t, c) for t, c in rq.select_refs)
-    from_clause = "FROM " + ", ".join(map(_quote, plan.tables))
-
-    where_parts = [f"{_qualified(lt, lc)} = {_qualified(rt, rc)}"
-                   for lt, lc, rt, rc in plan.conditions]
+    select = []
+    for t, c in rq.select_refs:
+        if t not in tables:
+            raise ResolveError(f"the plan reads table {t!r}, which it does not join")
+        select.append(col_ref(t, c))
+    where_parts = []
+    for lt, lc, rt, rc in plan.conditions:
+        if (t := lt) not in tables or (t := rt) not in tables:
+            raise ResolveError(f"the plan reads table {t!r}, which it does not join")
+        where_parts.append(f"{_qualified(lt, lc)} = {_qualified(rt, rc)}")
     if rq.predicate_refs is not None:
-        user, has_or = _render_predicate(rq.predicate_refs, col_ref)
+        user, has_or = _render_predicate(rq.predicate_refs, col_ref, tables)
         where_parts.insert(0, f"({user})" if has_or and where_parts else user)
 
-    text = f"{select} {from_clause}"
+    text = f"SELECT {', '.join(select)} FROM {', '.join(map(_quote, tables))}"
     if where_parts:
         text += " WHERE " + " AND ".join(where_parts)
-    return SqlQuery(text, plan.tables)
+    return SqlQuery(text, tables)

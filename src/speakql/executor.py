@@ -230,6 +230,8 @@ def _read(data, conjuncts, index_of):
 def execute(rq, ds):
     """Run the resolved plan against the dataset."""
     plan = rq.join_plan
+    if not rq.select_refs:
+        raise ResolveError("the query selects no column")
     for name in plan.tables:
         if name not in ds.tables:
             raise DatasetError(f"table {name!r} not present in dataset")

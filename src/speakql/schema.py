@@ -38,7 +38,7 @@ class Column:
     value_kind: str  # text | integer | real
 
     def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
+        if not isinstance(self.name, str) or not _IDENT_RE.match(self.name):
             raise SchemaConfigError(f"invalid column name {self.name!r}")
         if self.value_kind not in VALUE_KINDS:
             raise SchemaConfigError(
@@ -58,7 +58,7 @@ class Table:
     columns_by_name: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
+        if not isinstance(self.name, str) or not _IDENT_RE.match(self.name):
             raise SchemaConfigError(f"invalid table name {self.name!r}")
         if self.kind not in TABLE_KINDS:
             raise SchemaConfigError(f"unknown table kind {self.kind!r} for {self.name!r}")
@@ -86,6 +86,8 @@ class Schema:
     owners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.tables:
+            raise SchemaConfigError("'tables' must be nonempty")
         for t in self.tables:
             if t.name.lower() in self.tables_by_name:
                 raise SchemaConfigError(f"duplicate table name {t.name!r}")
@@ -112,6 +114,8 @@ class SchemaGraph:
     def adjacency(self):
         """Each table's neighbours, sorted by name."""
         adjacency = {t: [] for t in self.nodes}
+        if odd := [sorted(pair) for pair in self.edges if len(pair) != 2]:
+            raise ValueError(f"edge key {odd[0]} does not join two tables")
         if unknown := {t for pair in self.edges for t in pair}.difference(adjacency):
             raise ValueError(f"edge table {min(unknown)!r} is not in the schema graph")
         for a, b in self.edges:
@@ -128,31 +132,21 @@ class JoinPlan:
 
 
 def load_schema(config_text):
-    """Parse and validate a schema-config document (YAML, strict keys)."""
+    """Parse a schema-config document (YAML, strict keys). This checks the
+    document's shape; `Column`, `Table` and `Schema` check the names, the
+    kinds and that no table list or column list is empty."""
     doc = load_yaml(config_text, SchemaConfigError, "schema config")
     doc = section(doc, dict, "schema config", SchemaConfigError, {"tables"})
-    raw_tables = section(doc.get("tables"), list, "'tables'", SchemaConfigError)
-    if not raw_tables:
-        raise SchemaConfigError("'tables' must be nonempty")
-
     tables = []
-    for entry in raw_tables:
+    for entry in section(doc.get("tables"), list, "'tables'", SchemaConfigError):
         entry = section(entry, dict, "table entry", SchemaConfigError, {"name", "kind", "columns"})
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise SchemaConfigError(f"table name must be a string, got {name!r}")
-        kind = entry.get("kind", "entity")
-        where = f"table {name!r}"
+        where = f"table {entry.get('name')!r}"
         raw_cols = section(entry.get("columns"), list, f"{where} 'columns'", SchemaConfigError)
         columns = []
         for col in raw_cols:
             col = section(col, dict, f"column of {where}", SchemaConfigError, {"name", "type"})
-            cname = col.get("name")
-            ctype = col.get("type")
-            if not isinstance(cname, str) or not isinstance(ctype, str):
-                raise SchemaConfigError(f"{where}: column needs string 'name' and 'type'")
-            columns.append(Column(cname, ctype))
-        tables.append(Table(name, kind, tuple(columns)))
+            columns.append(Column(col.get("name"), col.get("type")))
+        tables.append(Table(entry.get("name"), entry.get("kind", "entity"), tuple(columns)))
     return Schema(tuple(tables))
 
 

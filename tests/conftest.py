@@ -13,6 +13,15 @@ from speakql import (
 FIXTURES = Path(__file__).parent / "fixtures" / "bank"
 
 
+class UnreadRows(tuple):
+    """Rows that fail the test if the executor reads them."""
+
+    def _read(self, *_):
+        raise AssertionError("a row was read")
+
+    __len__ = __iter__ = __getitem__ = _read
+
+
 @pytest.fixture(scope="session")
 def bank_schema_text():
     return (FIXTURES / "schema.yaml").read_text(encoding="utf-8")

@@ -18,7 +18,7 @@ from speakql.parser import Comparison, Connective, QueryIR, ir_to_text, parse
 from speakql.schema import JoinPlan, build_graph, load_schema
 
 import genqueries
-from conftest import FIXTURES
+from conftest import FIXTURES, UnreadRows
 
 GOLDEN_SQL = (
     "SELECT customer.customer_name FROM customer, depositor, account "
@@ -253,6 +253,14 @@ def test_resolve_rejects_unknown_operators(bank_schema, bank_graph, pred, error)
     assert str(exc.value) == error
 
 
+def test_resolve_rejects_ir_selecting_no_column(bank_schema, bank_graph):
+    """A hand-built IR with no select column, which the parser never
+    makes, gets a typed error rather than the join planner's for no table."""
+    with pytest.raises(ResolveError) as exc:
+        resolve(QueryIR(()), bank_schema, bank_graph)
+    assert str(exc.value) == "the query selects no column"
+
+
 def bound_to_account(pred):
     """The IR predicate with each comparison bound to `account`."""
     if isinstance(pred, Connective):
@@ -271,15 +279,6 @@ def test_sql_and_rows_reject_unknown_operators(bank_dataset, pred, error):
         with pytest.raises(ResolveError) as exc:
             stage(rq)
         assert str(exc.value) == error
-
-
-class UnreadRows(tuple):
-    """Rows that fail the test if the executor reads them."""
-
-    def _read(self, *_):
-        raise AssertionError("a row was read")
-
-    __len__ = __iter__ = __getitem__ = _read
 
 
 @pytest.mark.parametrize("literal, error", [

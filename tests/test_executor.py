@@ -18,7 +18,7 @@ from speakql.schema import JoinPlan, build_graph, join_path, load_schema
 
 import genqueries
 import oracles
-from conftest import FIXTURES
+from conftest import FIXTURES, UnreadRows
 
 
 def rq_of(text, bank_schema, bank_graph, bank_lexicon):
@@ -258,18 +258,39 @@ def test_dataset_lacking_what_the_plan_reads(select, pred, plan, error, rows):
     assert str(exc.value) == error
 
 
-@pytest.mark.parametrize("select, pred, plan", [
-    ((("u", "k"),), None, JoinPlan(("t",), ())),
-    ((("t", "a"),), BoundComparison("u", "k", "=", 1), JoinPlan(("t",), ())),
-    ((("t", "a"),), None, JoinPlan(("t",), (("t", "a", "u", "k"),))),
-], ids=["select", "predicate", "join"])
-def test_plan_reading_a_table_it_does_not_join(select, pred, plan):
-    """A hand-built plan whose select list, predicate or join conditions
-    read a table outside its own tables, which its SQL's FROM list leaves out."""
-    ds = Dataset({"t": TableData(("a",), (("x",),)), "u": TableData(("k",), ((1,),))})
-    with pytest.raises(ResolveError) as exc:
-        execute(ResolvedQuery(select, pred, plan), ds)
-    assert str(exc.value) == "the plan reads table 'u', which it does not join"
+def _unjoined(table):
+    return f"the plan reads table {table!r}, which it does not join"
+
+
+@pytest.mark.parametrize("select, pred, plan, error", [
+    ((("u", "a"),), None, JoinPlan(("t",), ()), _unjoined("u")),
+    ((("t", "a"),), BoundComparison("u", "a", "=", 1), JoinPlan(("t",), ()), _unjoined("u")),
+    ((("t", "a"),), None, JoinPlan(("t",), (("t", "a", "u", "a"),)), _unjoined("u")),
+    ((("t", "a"), ("u", "a")), None, JoinPlan(("t",), (("w", "a", "t", "a"),)), _unjoined("u")),
+    ((("t", "a"),), BoundComparison("u", "a", "=", 1), JoinPlan(("t",), (("w", "a", "u", "a"),)),
+     _unjoined("w")),
+    ((("t", "a"),), Connective("or", BoundComparison("t", "a", "=", 1), Connective(
+        "and", BoundComparison("w", "a", "like", 1), BoundComparison("u", "a", "=", 1))),
+     JoinPlan(("t",), ()), _unjoined("w")),
+    ((("t", "a"),), None, JoinPlan((), ()), _unjoined("t")),
+    ((), None, JoinPlan((), ()), "the query selects no column"),
+    ((), BoundComparison("u", "a", "=", 1), JoinPlan(("t",), ()), "the query selects no column"),
+], ids=["select", "predicate", "join", "select-before-join", "join-before-predicate",
+        "predicate-left-to-right", "no-table", "nothing", "no-column"])
+def test_plan_reading_a_table_it_does_not_join(select, pred, plan, error):
+    """A hand-built query that selects no column, or whose select list,
+    join conditions or predicate read a table outside its plan's tables,
+    which its SQL's FROM list leaves out: the SQL and the rows get the same
+    ResolveError, for the first such read in the select list, the join
+    conditions, then the predicate from left to right, before any row is
+    read and before the comparison's own operator is checked."""
+    ds = Dataset({"t": TableData(("a", "v"), UnreadRows(((1, 5), (2, 7)))),
+                  "u": TableData(("a",), ((1,),))})
+    rq = ResolvedQuery(select, pred, plan)
+    for stage in (generate_sql, lambda rq: execute(rq, ds)):
+        with pytest.raises(ResolveError) as exc:
+            stage(rq)
+        assert str(exc.value) == error
 
 
 @pytest.mark.parametrize("side", ["probe", "build", "both"])

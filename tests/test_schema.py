@@ -83,6 +83,29 @@ def test_schema_errors(doc, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Column(5, "text"), "invalid column name 5"),
+    (lambda: Table(None, "entity", (Column("a", "text"),)), "invalid table name None"),
+    (lambda: Schema(()), "'tables' must be nonempty"),
+    (lambda: load_schema("tables:\n  - name: 5\n    columns: [{name: a, type: text}]\n"),
+     "invalid table name 5"),
+    (lambda: load_schema("tables:\n  - name: t\n    columns: [{name: 5, type: text}]\n"),
+     "invalid column name 5"),
+    (lambda: load_schema("tables:\n  - name: t\n    columns: [{name: a}]\n"),
+     "unknown value kind None for column 'a'"),
+    # a table's columns are built before the table, so a bad column is reported first
+    (lambda: load_schema("tables:\n  - name: 5\n    columns: [{name: a}]\n"),
+     "unknown value kind None for column 'a'"),
+], ids=["column-name", "table-name", "no-table", "config-table-name", "config-column-name",
+        "config-column-type", "config-column-before-table"])
+def test_records_check_names_and_emptiness(build, error):
+    """Each rule is checked in the record it constrains, so a hand-built
+    record and a schema config get the same error for the same fault."""
+    with pytest.raises(SchemaConfigError) as exc:
+        build()
+    assert str(exc.value) == error
+
+
 def test_bank_graph_edges(bank_graph):
     assert bank_graph.shared_columns("customer", "depositor") == {"customer_name"}
     assert bank_graph.shared_columns("depositor", "account") == {"account_number"}
@@ -306,6 +329,15 @@ def test_join_path_names_unknown_edge_table():
     with pytest.raises(ValueError) as exc:
         join_path(graph, {"A", "B"})
     assert str(exc.value) == "edge table 'Z' is not in the schema graph"
+
+
+@pytest.mark.parametrize("key", [("A",), ("A", "B", "C")], ids=["one-table", "three-table"])
+def test_join_path_names_edge_key_of_other_than_two_tables(key):
+    # a hand-built graph may key an edge by a set that is not a pair
+    graph = SchemaGraph(("A", "B", "C"), {frozenset(key): frozenset({"k"})})
+    with pytest.raises(ValueError) as exc:
+        join_path(graph, {"A", "B"})
+    assert str(exc.value) == f"edge key {list(key)} does not join two tables"
 
 
 def test_join_path_deterministic(bank_graph):
