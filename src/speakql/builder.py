@@ -14,7 +14,6 @@ from .schema import join_path
 NUMERIC_OPS = (">", "<", ">=", "<=")
 # tuples, so that an unhashable operator is unknown rather than a TypeError
 COMPARATORS = ("=", "<>", *NUMERIC_OPS)
-CONNECTIVES = ("and", "or")
 
 # Keywords that sqlite will not take as a bare table or column name.
 # Names spelled as one of them, in any case, are double-quoted in SQL;
@@ -38,9 +37,21 @@ class BoundComparison(NamedTuple):
 
 @dataclass(frozen=True)
 class ResolvedQuery:
+    """Raises ResolveError when built if it selects no column, or if its select list
+    or join conditions read a table its plan does not join; the stages check the predicate."""
+
     select_refs: tuple[tuple[str, str], ...]  # (table, column)
     predicate_refs: Optional[Predicate]  # Connective tree of BoundComparison
     join_plan: "JoinPlan"
+
+    def __post_init__(self):
+        if not self.select_refs:
+            raise ResolveError("the query selects no column")
+        tables = self.join_plan.tables
+        for ref in (*self.select_refs, *self.join_plan.conditions):
+            for t in ref[::2]:  # a select ref's table; a condition's left, then right table
+                if t not in tables:
+                    raise ResolveError(f"the plan reads table {t!r}, which it does not join")
 
 
 @dataclass(frozen=True)
@@ -65,17 +76,15 @@ def _render_predicate(pred, col_ref, tables):
     whether it has an OR connective. It is written left to right, as
     `ir_to_text` writes the IR, with a child connective of the other kind
     in parentheses to keep the IR's grouping: SQL binds AND tighter than OR.
-    A comparator or connective that `resolve` rejects raises its `ResolveError`,
-    and so does a comparison on a table outside `tables`, as in `execute`."""
+    A comparison on a table outside `tables`, or with a comparator or literal
+    that `resolve` rejects, raises its `ResolveError` in that order, as `execute` does."""
     parts, ops, stack = [], set(), [pred]
     while stack:
         node = stack.pop()
         if type(node) is str:
             parts.append(node)
         elif isinstance(node, Connective):
-            if (op := node.op) not in CONNECTIVES:
-                raise ResolveError(f"unknown connective {op!r}")
-            ops.add(op)
+            ops.add(op := node.op)
             for entry in (node.right, f" {op.upper()} ", node.left):
                 if isinstance(entry, Connective) and entry.op != op:
                     stack += (")", entry, "(")
@@ -89,12 +98,6 @@ def _render_predicate(pred, col_ref, tables):
             literal = format_literal(node.literal)
             parts.append(f"{col_ref(node.table, node.column)} {node.op} {literal}")
     return "".join(parts), "or" in ops
-
-
-def _rebuild(node, left, right):
-    if node.op not in CONNECTIVES:
-        raise ResolveError(f"unknown connective {node.op!r}")
-    return Connective(node.op, left, right)
 
 
 def resolve(ir, schema, graph):
@@ -146,9 +149,8 @@ def resolve(ir, schema, graph):
             raise ResolveError(f"literal {literal!r} is neither a number nor a string")
         return tuple.__new__(BoundComparison, (table, column, op, literal))
 
-    predicate_refs = None
-    if ir.predicate is not None:
-        predicate_refs = fold_predicate(ir.predicate, bind, _rebuild)
+    predicate_refs = None if ir.predicate is None else fold_predicate(
+        ir.predicate, bind, lambda node, left, right: Connective(node.op, left, right))
     plan = join_path(graph, {table for table, _, _ in bindings.values()})
     return ResolvedQuery(select_refs, predicate_refs, plan)
 
@@ -156,29 +158,19 @@ def resolve(ir, schema, graph):
 def generate_sql(rq):
     """Deterministic single-line SQL: user predicate conjuncts first, join
     conditions appended with AND; columns qualified only for multi-table plans.
-    A query that `execute` rejects for its select list or for a table its
-    plan does not join raises the same `ResolveError`, in the same order."""
+    A predicate that `execute` rejects raises the same `ResolveError`, for
+    the same comparison; `ResolvedQuery` checks the select list and plan."""
     plan = rq.join_plan
-    tables = plan.tables
-    if not rq.select_refs:
-        raise ResolveError("the query selects no column")
-    col_ref = _qualified if len(tables) > 1 else lambda table, column: _quote(column)
+    col_ref = _qualified if len(plan.tables) > 1 else lambda table, column: _quote(column)
 
-    select = []
-    for t, c in rq.select_refs:
-        if t not in tables:
-            raise ResolveError(f"the plan reads table {t!r}, which it does not join")
-        select.append(col_ref(t, c))
-    where_parts = []
-    for lt, lc, rt, rc in plan.conditions:
-        if (t := lt) not in tables or (t := rt) not in tables:
-            raise ResolveError(f"the plan reads table {t!r}, which it does not join")
-        where_parts.append(f"{_qualified(lt, lc)} = {_qualified(rt, rc)}")
+    select = [col_ref(t, c) for t, c in rq.select_refs]
+    where_parts = [f"{_qualified(lt, lc)} = {_qualified(rt, rc)}"
+                   for lt, lc, rt, rc in plan.conditions]
     if rq.predicate_refs is not None:
-        user, has_or = _render_predicate(rq.predicate_refs, col_ref, tables)
+        user, has_or = _render_predicate(rq.predicate_refs, col_ref, plan.tables)
         where_parts.insert(0, f"({user})" if has_or and where_parts else user)
 
-    text = f"SELECT {', '.join(select)} FROM {', '.join(map(_quote, tables))}"
+    text = f"SELECT {', '.join(select)} FROM {', '.join(map(_quote, plan.tables))}"
     if where_parts:
         text += " WHERE " + " AND ".join(where_parts)
-    return SqlQuery(text, tables)
+    return SqlQuery(text, plan.tables)

@@ -49,7 +49,7 @@ an extension are not tied: the cell kept only the higher.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 
 from .config import load_yaml, section
@@ -88,6 +88,16 @@ class WordHmm:
     log_exit: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n, word = len(self.states), f"word {self.word!r}"
+        indices = [(idx, "entry") for idx, _ in self.entry] + [(idx, "exit") for idx in self.exit]
+        for src, row in self.transitions.items():
+            indices += [(src, "transitions"), *[(dst, f"transitions from {src}") for dst, _ in row]]
+        for idx, part in indices:  # ints below n, as `_indexed` reads a document's keys
+            if type(idx) is not int or not 0 <= idx < n:
+                raise ModelConfigError(f"{word} {part}: bad state index {idx!r}")
+        for i, st in enumerate(self.states):
+            if not isinstance(st.emissions, Mapping):
+                raise ModelConfigError(f"{word} state {i} emissions must be a mapping")
         log = math.log
         emits = [{s: log(e) for s, e in st.emissions.items() if e > 0.0} for st in self.states]
         for idx, p in self.entry:
@@ -113,7 +123,10 @@ class GrammarFsa:
     arcs_from: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for src, word, dst in self.arcs:
+        for arc in self.arcs:
+            if not isinstance(arc, tuple) or len(arc) != 3:
+                raise ModelConfigError(f"grammar arc {arc!r} is not a (from, word, to) triple")
+            src, word, dst = arc
             self.arcs_from.setdefault(src, []).append((word, dst))
 
 
@@ -215,12 +228,12 @@ def _load_word(raw, alphabet):
         states.append(PhonemeState(rs.get("phoneme", ""), emissions))
 
     n = len(states)
-    entry = _probs(_indexed(raw.get("entry"), n, f"{word} entry"), f"{word} entry")
-    exit_probs = dict(_probs(_indexed(raw.get("exit"), n, f"{word} exit"), f"{word} exit", False))
+    entry = _probs(_indexed(raw.get("entry"), f"{word} entry"), f"{word} entry")
+    exit_probs = dict(_probs(_indexed(raw.get("exit"), f"{word} exit"), f"{word} exit", False))
     transitions = {}
-    for src, row in _indexed(raw.get("transitions"), n, f"{word} transitions"):
+    for src, row in _indexed(raw.get("transitions"), f"{word} transitions"):
         where = f"{word} transitions from {src}"
-        out = _probs(_indexed(row, n, where), where, False)
+        out = _probs(_indexed(row, where), where, False)
         for dst, _ in out:
             if dst < src:
                 raise ModelConfigError(f"{where}: a move to {dst} decreases the state index")
@@ -232,16 +245,16 @@ def _load_word(raw, alphabet):
     return WordHmm(name, tuple(states), transitions, tuple(entry), exit_probs)
 
 
-def _indexed(value, n, where):
+def _indexed(value, where):
     """The (state index, value) pairs of the mapping `value`, whose keys
-    must be state indices below `n`: ints, or text that `int` reads."""
+    must be ints, or text that `int` reads; `WordHmm` checks their range."""
     pairs = []
     for key, v in section(value, dict, where, ModelConfigError).items():
         try:
             idx = int(key) if isinstance(key, str) else key
         except ValueError:
             idx = None
-        if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < n:
+        if not isinstance(idx, int) or isinstance(idx, bool):
             raise ModelConfigError(f"{where}: bad state index {key!r}")
         pairs.append((idx, v))
     return pairs

@@ -129,18 +129,18 @@ def load_dataset(directory, schema):
 def _conjuncts(pred, see):
     """Top-level AND conjuncts of `pred`, each a comparison or an OR-rooted
     subtree, paired with the names of the tables its comparisons read;
-    `see(table, column)` is called on each comparison's column. An
-    operator or a literal that `resolve` rejects raises its `ResolveError`."""
+    `see(table, column)` is called on each comparison's column. A comparator,
+    then a literal, that `resolve` rejects raises its `ResolveError`, in the SQL writer's order."""
     if pred is None:
         return []
 
     def leaf(c):
         see(c.table, c.column)
         literal = c.literal
-        if isinstance(literal, float) and not math.isfinite(literal):
-            raise ResolveError(f"literal {literal!r} is not a finite number")
         if c.op not in COMPARATORS:
             raise ResolveError(f"unknown comparator {c.op!r}")
+        if isinstance(literal, float) and not math.isfinite(literal):
+            raise ResolveError(f"literal {literal!r} is not a finite number")
         if isinstance(literal, bool) or not isinstance(literal, (int, float, str)):
             raise ResolveError(f"literal {literal!r} is neither a number nor a string")
         return [(c, {c.table})]
@@ -149,8 +149,6 @@ def _conjuncts(pred, see):
         if node.op == "and":
             left += right
             return left
-        if node.op != "or":
-            raise ResolveError(f"unknown connective {node.op!r}")
         return [(node, set().union(*(tables for _, tables in left + right)))]
 
     return fold_predicate(pred, leaf, join)
@@ -158,21 +156,25 @@ def _conjuncts(pred, see):
 
 def _filter(items, pred, index_of):
     """The items, in order, for which `pred` holds; `index_of(c)` is where
-    comparison c's value sits in an item. Null fails every comparison."""
+    comparison c's value sits in an item. Null fails every comparison, and
+    a value that does not compare with the literal raises ResolveError."""
 
-    def test(c):
-        return operator.itemgetter(index_of(c)), _COMPARE[c.op], c.literal
+    def leaf(c):  # the items c keeps if it is the whole of `pred`, else their positions
+        get, compare, literal = operator.itemgetter(index_of(c)), _COMPARE[c.op], c.literal
+        try:
+            if c is pred:
+                return [x for x in items if (v := get(x)) is not None and compare(v, literal)]
+            return {
+                i for i, x in enumerate(items) if (v := get(x)) is not None and compare(v, literal)
+            }
+        except TypeError as exc:
+            raise ResolveError(
+                f"comparator {c.op!r} cannot compare literal {literal!r} "
+                f"with the values of column {c.column!r} of table {c.table!r}"
+            ) from exc
 
     if not isinstance(pred, Connective):
-        get, compare, literal = test(pred)
-        return [x for x in items if (v := get(x)) is not None and compare(v, literal)]
-
-    def leaf(c):
-        get, compare, literal = test(c)
-        return {
-            i for i, x in enumerate(items) if (v := get(x)) is not None and compare(v, literal)
-        }
-
+        return leaf(pred)
     # the tree folds to sets of item positions, so no closure nests as deep as it
     keep = fold_predicate(
         pred, leaf, lambda node, left, right: left & right if node.op == "and" else left | right
@@ -230,8 +232,6 @@ def _read(data, conjuncts, index_of):
 def execute(rq, ds):
     """Run the resolved plan against the dataset."""
     plan = rq.join_plan
-    if not rq.select_refs:
-        raise ResolveError("the query selects no column")
     for name in plan.tables:
         if name not in ds.tables:
             raise DatasetError(f"table {name!r} not present in dataset")

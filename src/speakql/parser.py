@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .errors import QueryParseError
+from .errors import QueryParseError, ResolveError
 from .lexer import (
     COLUMN, COMPARATOR, LOGICAL_AND, LOGICAL_OR, NUMBER, OF, STRING_LITERAL, TABLE,
     VERB_SELECT, WHERE_INTRO, Token,
@@ -31,6 +31,8 @@ from .lexer import (
 
 # what `parse` reads past the last token; its kind is no TokenKind
 _END = Token(None, "", "", -1)
+# a Connective's ops: a tuple, so an unhashable op is unknown rather than a TypeError
+CONNECTIVES = ("and", "or")
 
 
 class Comparison(NamedTuple):
@@ -49,6 +51,8 @@ class Connective:
     # through its slot's descriptor, at half the cost of the generated one,
     # which calls object.__setattr__ once per field.
     def __init__(self, op, left, right):
+        if op not in CONNECTIVES:
+            raise ResolveError(f"unknown connective {op!r}")
         _set_op(self, op)
         _set_left(self, left)
         _set_right(self, right)
@@ -148,17 +152,17 @@ def _parse_number(text, position):
 
 
 def format_literal(literal):
-    """Canonical rendering, shared by the IR text and the SQL: numbers
-    without leading zeros or trailing fractional zeros, strings single-quoted
-    with each inner quote doubled; any other literal, a bool too, raises TypeError."""
+    """Canonical rendering, shared by the IR text and the SQL: numbers without
+    leading zeros or trailing fractional zeros, strings single-quoted with each inner
+    quote doubled; any other literal, a bool or non-finite float too, raises ResolveError."""
     if isinstance(literal, str):
         return "'" + literal.replace("'", "''") + "'"
     if isinstance(literal, int) and not isinstance(literal, bool):
         return str(literal)
     if not isinstance(literal, float):
-        raise TypeError(f"literal {literal!r} is neither a number nor a string")
+        raise ResolveError(f"literal {literal!r} is neither a number nor a string")
     if not math.isfinite(literal):
-        raise ValueError(f"non-finite literal {literal!r}")
+        raise ResolveError(f"literal {literal!r} is not a finite number")
     if literal == int(literal):
         return str(int(literal))
     return repr(literal)

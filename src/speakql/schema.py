@@ -62,6 +62,9 @@ class Table:
             raise SchemaConfigError(f"invalid table name {self.name!r}")
         if self.kind not in TABLE_KINDS:
             raise SchemaConfigError(f"unknown table kind {self.kind!r} for {self.name!r}")
+        if not isinstance(self.columns, tuple) or not all(
+                isinstance(c, Column) for c in self.columns):
+            raise SchemaConfigError(f"table {self.name!r}: columns must be a tuple of Column")
         if not self.columns:
             raise SchemaConfigError(f"table {self.name!r} has no columns")
         for col in self.columns:
@@ -86,6 +89,8 @@ class Schema:
     owners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.tables, tuple) or not all(isinstance(t, Table) for t in self.tables):
+            raise SchemaConfigError("'tables' must be a tuple of Table")
         if not self.tables:
             raise SchemaConfigError("'tables' must be nonempty")
         for t in self.tables:

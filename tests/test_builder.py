@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import speakql
-from speakql.builder import BoundComparison, ResolvedQuery, generate_sql, resolve
+from speakql.builder import COMPARATORS, BoundComparison, ResolvedQuery, generate_sql, resolve
 from speakql.errors import ResolveError, SpeakqlError
 from speakql.executor import Dataset, TableData, execute, load_dataset
 from speakql.lexer import generate_lexicon, tokenize
@@ -227,18 +227,22 @@ def test_leftmost_bad_comparison_is_reported(bank_schema, bank_graph):
 BALANCE_ABOVE_1 = Comparison("balance", ">", 1)
 
 
+# each predicate is built by a function, since a connective of another op
+# raises when it is built
 UNKNOWN_OPERATORS = [
-    pytest.param(Comparison("balance", "like", 1), "unknown comparator 'like'", id="like"),
-    pytest.param(Comparison("balance", "==", 1), "unknown comparator '=='", id="double-equals"),
-    pytest.param(Comparison("balance", ["="], 1), "unknown comparator ['=']", id="unhashable"),
-    pytest.param(Connective("and", BALANCE_ABOVE_1, Comparison("balance", "!=", 1)),
+    pytest.param(lambda: Comparison("balance", "like", 1), "unknown comparator 'like'", id="like"),
+    pytest.param(lambda: Comparison("balance", "==", 1), "unknown comparator '=='",
+                 id="double-equals"),
+    pytest.param(lambda: Comparison("balance", ["="], 1), "unknown comparator ['=']",
+                 id="unhashable"),
+    pytest.param(lambda: Connective("and", BALANCE_ABOVE_1, Comparison("balance", "!=", 1)),
                  "unknown comparator '!='", id="right-of-and"),
-    pytest.param(Connective("xor", BALANCE_ABOVE_1, Comparison("balance", "<", 600)),
+    pytest.param(lambda: Connective("xor", BALANCE_ABOVE_1, Comparison("balance", "<", 600)),
                  "unknown connective 'xor'", id="xor"),
-    pytest.param(Connective("AND", BALANCE_ABOVE_1, BALANCE_ABOVE_1),
+    pytest.param(lambda: Connective("AND", BALANCE_ABOVE_1, BALANCE_ABOVE_1),
                  "unknown connective 'AND'", id="upper-case"),
-    pytest.param(
-        Connective("or", BALANCE_ABOVE_1, Connective("nand", BALANCE_ABOVE_1, BALANCE_ABOVE_1)),
+    pytest.param(lambda: Connective(
+        "or", BALANCE_ABOVE_1, Connective("nand", BALANCE_ABOVE_1, BALANCE_ABOVE_1)),
         "unknown connective 'nand'", id="nested"),
 ]
 
@@ -247,9 +251,10 @@ UNKNOWN_OPERATORS = [
 def test_resolve_rejects_unknown_operators(bank_schema, bank_graph, pred, error):
     """A hand-built IR may hold only the comparators and connectives the
     lexer emits: any other would be written into the SQL as it is, while
-    the executor reads no such operator."""
+    the executor reads no such operator. `resolve` rejects a comparator,
+    and a connective raises when it is built."""
     with pytest.raises(ResolveError) as exc:
-        resolve(QueryIR(("balance",), None, pred), bank_schema, bank_graph)
+        resolve(QueryIR(("balance",), None, pred()), bank_schema, bank_graph)
     assert str(exc.value) == error
 
 
@@ -272,12 +277,12 @@ def bound_to_account(pred):
 def test_sql_and_rows_reject_unknown_operators(bank_dataset, pred, error):
     """A hand-built resolved query gets `resolve`'s error for an operator
     it rejects, else the SQL would write it as it is while the executor
-    reads another operator or none."""
-    rq = ResolvedQuery((("account", "balance"),), bound_to_account(pred),
-                       JoinPlan(("account",), ()))
+    reads another operator or none: from each stage for a comparator, and
+    from the query's building for a connective."""
     for stage in (generate_sql, lambda rq: execute(rq, bank_dataset)):
         with pytest.raises(ResolveError) as exc:
-            stage(rq)
+            stage(ResolvedQuery((("account", "balance"),), bound_to_account(pred()),
+                                JoinPlan(("account",), ())))
         assert str(exc.value) == error
 
 
@@ -328,9 +333,89 @@ def test_case_variants_of_a_column_bind_to_one_table(scope, table):
 def test_generate_sql_names_non_finite_float_literal(literal):
     rq = ResolvedQuery((("t", "c"),), BoundComparison("t", "c", ">", literal),
                        JoinPlan(("t",), ()))
-    error = ValueError if isinstance(literal, float) else TypeError
-    with pytest.raises(error, match=re.escape(repr(literal))):
+    with pytest.raises(ResolveError, match=re.escape(repr(literal))):
         generate_sql(rq)
+
+
+def _unjoined(table):
+    return f"the plan reads table {table!r}, which it does not join"
+
+
+@pytest.mark.parametrize("op", ["xor", "AND", "", None, ["and"]],
+                         ids=["xor", "upper-case", "empty", "none", "unhashable"])
+def test_connective_rejects_other_ops_when_built(op):
+    """A connective is AND or OR, so no stage that reads one checks its op
+    again; an unhashable op is unknown too."""
+    with pytest.raises(ResolveError) as exc:
+        Connective(op, BALANCE_ABOVE_1, BALANCE_ABOVE_1)
+    assert str(exc.value) == f"unknown connective {op!r}"
+
+
+def test_unknown_connective_over_unjoined_table_fails_when_built():
+    """The query on which the SQL writer once named the connective and the
+    executor the table cannot be built: its connective raises first."""
+    with pytest.raises(ResolveError) as exc:
+        ResolvedQuery((("t", "a"),), Connective(
+            "xor", BoundComparison("u", "a", "=", 1), BoundComparison("t", "a", "=", 1)),
+            JoinPlan(("t",), ()))
+    assert str(exc.value) == "unknown connective 'xor'"
+
+
+@pytest.mark.parametrize("select, plan, error", [
+    ((), JoinPlan(("t",), ()), "the query selects no column"),
+    ((), JoinPlan(("t",), (("u", "a", "w", "a"),)), "the query selects no column"),
+    ((("u", "a"),), JoinPlan(("t",), ()), _unjoined("u")),
+    ((("t", "a"), ("u", "a")), JoinPlan(("t",), (("w", "a", "t", "a"),)), _unjoined("u")),
+    ((("t", "a"),), JoinPlan(("t",), (("w", "a", "u", "a"),)), _unjoined("w")),
+    ((("t", "a"),), JoinPlan(("t",), (("t", "a", "u", "a"),)), _unjoined("u")),
+], ids=["no-column", "no-column-before-join", "select", "select-before-join",
+        "join-left-before-right", "join-right"])
+def test_resolved_query_checks_its_select_list_and_plan_when_built(select, plan, error):
+    """A resolved query selects a column, and its select list, then its join
+    conditions, left side before right, read only tables its plan joins."""
+    with pytest.raises(ResolveError) as exc:
+        ResolvedQuery(select, None, plan)
+    assert str(exc.value) == error
+
+
+# (comparison holding one or two faults, the error both stages name): the
+# table is checked before the comparator, and the comparator before the literal
+HAND_BUILT_FAULTS = [
+    (BoundComparison("u", "a", "=", 1), _unjoined("u")),
+    (BoundComparison("u", "a", "like", float("inf")), _unjoined("u")),
+    (BoundComparison("t", "a", "like", 1), "unknown comparator 'like'"),
+    (BoundComparison("t", "a", "==", 1), "unknown comparator '=='"),
+    (BoundComparison("t", "a", ["="], 1), "unknown comparator ['=']"),
+    (BoundComparison("t", "a", "like", float("inf")), "unknown comparator 'like'"),
+    (BoundComparison("t", "v", ">", float("inf")), "literal inf is not a finite number"),
+    (BoundComparison("t", "v", "=", float("nan")), "literal nan is not a finite number"),
+    (BoundComparison("t", "v", "<>", None), "literal None is neither a number nor a string"),
+    (BoundComparison("t", "v", ">", True), "literal True is neither a number nor a string"),
+    (BoundComparison("t", "v", "=", b"x"), "literal b'x' is neither a number nor a string"),
+]
+
+
+def test_sql_and_rows_name_the_same_fault_of_a_hand_built_predicate():
+    """One fault, placed at a random comparison of a random AND/OR tree of
+    valid comparisons, gets the same ResolveError from the SQL writer and
+    from the executor, which reads no row first."""
+    ds = Dataset({"t": TableData(("a", "v"), UnreadRows(((1, 5), (2, 7)))),
+                  "u": TableData(("a",), ((1,),))})
+    rng = random.Random(34)
+    for _ in range(400):
+        fault, error = rng.choice(HAND_BUILT_FAULTS)
+        n = rng.randint(1, 8)
+        k = rng.randrange(n)
+        preds = [fault if i == k else BoundComparison(
+            "t", rng.choice("av"), rng.choice(COMPARATORS), rng.randrange(-5, 5)) for i in range(n)]
+        while len(preds) > 1:  # join two neighbours, so the fault keeps its place
+            i = rng.randrange(len(preds) - 1)
+            preds[i:i + 2] = [Connective(rng.choice(("and", "or")), *preds[i:i + 2])]
+        rq = ResolvedQuery((("t", "a"),), preds[0], JoinPlan(("t",), ()))
+        for stage in (generate_sql, lambda rq: execute(rq, ds)):
+            with pytest.raises(ResolveError) as exc:
+                stage(rq)
+            assert str(exc.value) == error
 
 
 def random_tree(rng, depth, comparison):

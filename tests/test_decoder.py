@@ -521,6 +521,55 @@ def test_models_compare_and_print_by_their_fields():
     assert fsa() != GrammarFsa(frozenset({"q"}), "q", frozenset({"q"}), ())
 
 
+ONE_STATE = (PhonemeState("a", {"x": 1.0}),)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: WordHmm("w", ONE_STATE, {}, ((5, 1.0),), {0: 1.0}),
+     "word 'w' entry: bad state index 5"),
+    (lambda: WordHmm("w", ONE_STATE, {}, ((-1, 1.0),), {0: 1.0}),
+     "word 'w' entry: bad state index -1"),
+    (lambda: WordHmm("w", ONE_STATE, {}, ((True, 1.0),), {0: 1.0}),
+     "word 'w' entry: bad state index True"),
+    (lambda: WordHmm("w", ONE_STATE, {}, ((0, 1.0),), {"0": 1.0}),
+     "word 'w' exit: bad state index '0'"),
+    (lambda: WordHmm("w", ONE_STATE, {2: ()}, ((0, 1.0),), {0: 1.0}),
+     "word 'w' transitions: bad state index 2"),
+    (lambda: WordHmm("w", ONE_STATE, {0: ((3, 1.0),)}, ((0, 1.0),), {0: 1.0}),
+     "word 'w' transitions from 0: bad state index 3"),
+    (lambda: WordHmm("w", (*ONE_STATE, PhonemeState("a", 5)), {}, ((0, 1.0),), {0: 1.0}),
+     "word 'w' state 1 emissions must be a mapping"),
+    (lambda: GrammarFsa(frozenset({"q"}), "q", frozenset({"q"}), (("q", "w"),)),
+     "grammar arc ('q', 'w') is not a (from, word, to) triple"),
+    (lambda: GrammarFsa(frozenset({"q"}), "q", frozenset({"q"}), ("qwq",)),
+     "grammar arc 'qwq' is not a (from, word, to) triple"),
+], ids=["entry", "entry-negative", "entry-bool", "exit-text", "transition-source",
+        "transition-target", "emissions", "arc-pair", "arc-text"])
+def test_hand_built_models_name_their_structural_faults(build, error):
+    """A hand-built model whose state indices fall outside its states, whose
+    emissions are not a mapping, or whose arc is not a triple raises a
+    ModelConfigError when built, not an error inside decoding."""
+    with pytest.raises(ModelConfigError) as exc:
+        build()
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("entry: {0: 1.0}", "entry: {5: 1.0}", "word 'w' entry: bad state index 5"),
+    ("exit: {0: 1.0}", "exit: {0: 1.0, '1': 0.5}", "word 'w' exit: bad state index 1"),
+    ("transitions: {0: {}}", "transitions: {0: {}, 4: {}}",
+     "word 'w' transitions: bad state index 4"),
+    ("transitions: {0: {}}", "transitions: {0: {3: 0.0}}",
+     "word 'w' transitions from 0: bad state index 3"),
+], ids=["entry", "exit-text", "transition-source", "transition-target"])
+def test_config_state_index_out_of_range(old, new, error):
+    """`load_models` reads a state index, and the word model checks its
+    range after the loader's sums, with the loader's text."""
+    with pytest.raises(ModelConfigError) as exc:
+        load_models(MINIMAL_MODELS.replace(old, new, 1))
+    assert str(exc.value) == error
+
+
 def _onset_word(word, onset, entries=((0, 1.0),)):
     """An onset state emitting only `onset`, then a self-looped state
     emitting m or any onset."""

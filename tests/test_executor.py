@@ -283,14 +283,40 @@ def test_plan_reading_a_table_it_does_not_join(select, pred, plan, error):
     which its SQL's FROM list leaves out: the SQL and the rows get the same
     ResolveError, for the first such read in the select list, the join
     conditions, then the predicate from left to right, before any row is
-    read and before the comparison's own operator is checked."""
+    read and before the comparison's own operator is checked. The query
+    raises when built for its select list and join conditions, and each
+    stage for its predicate."""
     ds = Dataset({"t": TableData(("a", "v"), UnreadRows(((1, 5), (2, 7)))),
                   "u": TableData(("a",), ((1,),))})
-    rq = ResolvedQuery(select, pred, plan)
     for stage in (generate_sql, lambda rq: execute(rq, ds)):
         with pytest.raises(ResolveError) as exc:
-            stage(rq)
+            stage(ResolvedQuery(select, pred, plan))
         assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("rows, pred, error", [
+    (((1, "x"), (2, "y")), BoundComparison("t", "v", "<", 5),
+     "comparator '<' cannot compare literal 5 with the values of column 'v' of table 't'"),
+    (((1, 4), (2, 9)), BoundComparison("t", "v", ">", "x"),
+     "comparator '>' cannot compare literal 'x' with the values of column 'v' of table 't'"),
+    (((1, 1), (2, "x"), (3, None), (4, 2)), BoundComparison("t", "v", ">", 1),
+     "comparator '>' cannot compare literal 1 with the values of column 'v' of table 't'"),
+    (((1, "x"), (2, "y")), Connective(
+        "or", BoundComparison("t", "a", "=", 1), BoundComparison("t", "v", ">=", 5)),
+     "comparator '>=' cannot compare literal 5 with the values of column 'v' of table 't'"),
+], ids=["text-column", "text-literal", "mixed-column", "or"])
+def test_ordering_across_types_names_the_comparison(rows, pred, error):
+    """An ordering comparison whose literal does not compare with a
+    column's values, in a hand-built query or dataset, raises a ResolveError
+    that names it, chained to the TypeError; SQL compares across types, so
+    the SQL is written."""
+    ds = Dataset({"t": TableData(("a", "v"), rows)})
+    rq = ResolvedQuery((("t", "a"),), pred, JoinPlan(("t",), ()))
+    assert generate_sql(rq).text.startswith("SELECT a FROM t WHERE ")
+    with pytest.raises(ResolveError) as exc:
+        execute(rq, ds)
+    assert str(exc.value) == error
+    assert isinstance(exc.value.__cause__, TypeError)
 
 
 @pytest.mark.parametrize("side", ["probe", "build", "both"])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from speakql.errors import QueryParseError, SpeakqlError
+from speakql.errors import QueryParseError, ResolveError, SpeakqlError
 from speakql.lexer import tokenize
 from speakql.parser import Comparison, Connective, QueryIR, ir_to_text, parse
 
@@ -142,7 +142,7 @@ def test_ir_to_text_number_canonicalization():
 
 @pytest.mark.parametrize("literal", [float("inf"), float("-inf"), float("nan")])
 def test_ir_to_text_names_non_finite_float_literal(literal):
-    with pytest.raises(ValueError, match=repr(literal)):
+    with pytest.raises(ResolveError, match=repr(literal)):
         ir_to_text(QueryIR(("x",), None, Comparison("a", "=", literal)))
 
 

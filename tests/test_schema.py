@@ -96,11 +96,20 @@ def test_schema_errors(doc, fragment):
     # a table's columns are built before the table, so a bad column is reported first
     (lambda: load_schema("tables:\n  - name: 5\n    columns: [{name: a}]\n"),
      "unknown value kind None for column 'a'"),
+    (lambda: Table("t", "entity", ("a",)), "table 't': columns must be a tuple of Column"),
+    (lambda: Table("t", "entity", 5), "table 't': columns must be a tuple of Column"),
+    (lambda: Table("t", "entity", [Column("a", "text")]),
+     "table 't': columns must be a tuple of Column"),
+    (lambda: Schema(("t",)), "'tables' must be a tuple of Table"),
+    (lambda: Schema([Table("t", "entity", (Column("a", "text"),))]),
+     "'tables' must be a tuple of Table"),
 ], ids=["column-name", "table-name", "no-table", "config-table-name", "config-column-name",
-        "config-column-type", "config-column-before-table"])
+        "config-column-type", "config-column-before-table", "column-not-a-column",
+        "columns-not-a-tuple", "columns-a-list", "table-not-a-table", "tables-a-list"])
 def test_records_check_names_and_emptiness(build, error):
     """Each rule is checked in the record it constrains, so a hand-built
-    record and a schema config get the same error for the same fault."""
+    record and a schema config get the same error for the same fault; a
+    hand-built table or schema also checks the type of its members."""
     with pytest.raises(SchemaConfigError) as exc:
         build()
     assert str(exc.value) == error
