@@ -37,8 +37,8 @@ class BoundComparison(NamedTuple):
 
 @dataclass(frozen=True)
 class ResolvedQuery:
-    """Raises ResolveError when built if it selects no column, or if its select list
-    or join conditions read a table its plan does not join; the stages check the predicate."""
+    """Raises ResolveError when built if it selects no column. The stages
+    check the tables that its select list, plan and predicate read."""
 
     select_refs: tuple[tuple[str, str], ...]  # (table, column)
     predicate_refs: Optional[Predicate]  # Connective tree of BoundComparison
@@ -47,11 +47,6 @@ class ResolvedQuery:
     def __post_init__(self):
         if not self.select_refs:
             raise ResolveError("the query selects no column")
-        tables = self.join_plan.tables
-        for ref in (*self.select_refs, *self.join_plan.conditions):
-            for t in ref[::2]:  # a select ref's table; a condition's left, then right table
-                if t not in tables:
-                    raise ResolveError(f"the plan reads table {t!r}, which it does not join")
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,8 @@ def _render_predicate(pred, col_ref, tables):
         if type(node) is str:
             parts.append(node)
         elif isinstance(node, Connective):
-            ops.add(op := node.op)
+            op = node.op
+            ops.add(op)
             for entry in (node.right, f" {op.upper()} ", node.left):
                 if isinstance(entry, Connective) and entry.op != op:
                     stack += (")", entry, "(")
@@ -149,8 +145,10 @@ def resolve(ir, schema, graph):
             raise ResolveError(f"literal {literal!r} is neither a number nor a string")
         return tuple.__new__(BoundComparison, (table, column, op, literal))
 
-    predicate_refs = None if ir.predicate is None else fold_predicate(
-        ir.predicate, bind, lambda node, left, right: Connective(node.op, left, right))
+    predicate_refs = None
+    if ir.predicate is not None:
+        predicate_refs = fold_predicate(
+            ir.predicate, bind, lambda node, left, right: Connective(node.op, left, right))
     plan = join_path(graph, {table for table, _, _ in bindings.values()})
     return ResolvedQuery(select_refs, predicate_refs, plan)
 
@@ -158,19 +156,27 @@ def resolve(ir, schema, graph):
 def generate_sql(rq):
     """Deterministic single-line SQL: user predicate conjuncts first, join
     conditions appended with AND; columns qualified only for multi-table plans.
-    A predicate that `execute` rejects raises the same `ResolveError`, for
-    the same comparison; `ResolvedQuery` checks the select list and plan."""
+    A query that `execute` rejects for a table its plan does not join raises
+    the same `ResolveError`, for the same read in the same order."""
     plan = rq.join_plan
-    col_ref = _qualified if len(plan.tables) > 1 else lambda table, column: _quote(column)
+    tables = plan.tables
+    col_ref = _qualified if len(tables) > 1 else lambda table, column: _quote(column)
 
-    select = [col_ref(t, c) for t, c in rq.select_refs]
-    where_parts = [f"{_qualified(lt, lc)} = {_qualified(rt, rc)}"
-                   for lt, lc, rt, rc in plan.conditions]
+    select = []
+    for t, c in rq.select_refs:
+        if t not in tables:
+            raise ResolveError(f"the plan reads table {t!r}, which it does not join")
+        select.append(col_ref(t, c))
+    where_parts = []
+    for lt, lc, rt, rc in plan.conditions:
+        if (t := lt) not in tables or (t := rt) not in tables:
+            raise ResolveError(f"the plan reads table {t!r}, which it does not join")
+        where_parts.append(f"{_qualified(lt, lc)} = {_qualified(rt, rc)}")
     if rq.predicate_refs is not None:
-        user, has_or = _render_predicate(rq.predicate_refs, col_ref, plan.tables)
+        user, has_or = _render_predicate(rq.predicate_refs, col_ref, tables)
         where_parts.insert(0, f"({user})" if has_or and where_parts else user)
 
-    text = f"SELECT {', '.join(select)} FROM {', '.join(map(_quote, plan.tables))}"
+    text = f"SELECT {', '.join(select)} FROM {', '.join(map(_quote, tables))}"
     if where_parts:
         text += " WHERE " + " AND ".join(where_parts)
-    return SqlQuery(text, plan.tables)
+    return SqlQuery(text, tables)

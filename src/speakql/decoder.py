@@ -246,8 +246,9 @@ def _load_word(raw, alphabet):
 
 
 def _indexed(value, where):
-    """The (state index, value) pairs of the mapping `value`, whose keys
-    must be ints, or text that `int` reads; `WordHmm` checks their range."""
+    """The (state index, value) pairs of the mapping `value`, whose keys must
+    be ints, or text that `int` reads; `WordHmm` checks their range. It checks
+    their type too, but the loader compares them before it builds one."""
     pairs = []
     for key, v in section(value, dict, where, ModelConfigError).items():
         try:

@@ -156,8 +156,8 @@ def _conjuncts(pred, see):
 
 def _filter(items, pred, index_of):
     """The items, in order, for which `pred` holds; `index_of(c)` is where
-    comparison c's value sits in an item. Null fails every comparison, and
-    a value that does not compare with the literal raises ResolveError."""
+    comparison c's value sits in an item. Null fails every comparison, and one
+    that meets a value it cannot compare with its literal raises ResolveError."""
 
     def leaf(c):  # the items c keeps if it is the whole of `pred`, else their positions
         get, compare, literal = operator.itemgetter(index_of(c)), _COMPARE[c.op], c.literal

@@ -283,9 +283,8 @@ def test_plan_reading_a_table_it_does_not_join(select, pred, plan, error):
     which its SQL's FROM list leaves out: the SQL and the rows get the same
     ResolveError, for the first such read in the select list, the join
     conditions, then the predicate from left to right, before any row is
-    read and before the comparison's own operator is checked. The query
-    raises when built for its select list and join conditions, and each
-    stage for its predicate."""
+    read and before the comparison's own operator is checked. A query that
+    selects no column raises when it is built; each stage checks the tables."""
     ds = Dataset({"t": TableData(("a", "v"), UnreadRows(((1, 5), (2, 7)))),
                   "u": TableData(("a",), ((1,),))})
     for stage in (generate_sql, lambda rq: execute(rq, ds)):
@@ -317,6 +316,19 @@ def test_ordering_across_types_names_the_comparison(rows, pred, error):
         execute(rq, ds)
     assert str(exc.value) == error
     assert isinstance(exc.value.__cause__, TypeError)
+
+
+@pytest.mark.parametrize("pred, plan, want", [
+    (Connective("and", BoundComparison("t", "a", "=", 2), BoundComparison("t", "v", "<", 5)),
+     JoinPlan(("t",), ()), ((2,),)),
+    (BoundComparison("t", "v", "<", 5), JoinPlan(("t", "u"), (("t", "a", "u", "a"),)), ()),
+], ids=["earlier-conjunct", "smaller-table-empty"])
+def test_ordering_across_types_raises_only_on_a_row_it_meets(pred, plan, want):
+    """The comparison is evaluated only on the rows that reach it: when an
+    earlier conjunct drops the row it cannot compare, or a smaller planned
+    table keeps no row so the query reads no other, `execute` returns rows."""
+    ds = Dataset({"t": TableData(("a", "v"), ((1, "x"), (2, 4))), "u": TableData(("a",), ())})
+    assert execute(ResolvedQuery((("t", "a"),), pred, plan), ds).rows == want
 
 
 @pytest.mark.parametrize("side", ["probe", "build", "both"])
