@@ -8,7 +8,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import ResolveError
-from .parser import Connective, Predicate, fold_predicate, format_literal
+from .parser import (
+    INT64_MAX, INT64_MIN, Connective, Predicate, fold_predicate, format_literal, int64_error,
+)
 from .schema import join_path
 
 NUMERIC_OPS = (">", "<", ">=", "<=")
@@ -127,6 +129,8 @@ def resolve(ir, schema, graph):
         table, is_numeric, value_kind = bindings.get(column) or bind_column(column)
         if isinstance(literal, float) and not math.isfinite(literal):
             raise ResolveError(f"literal {literal!r} is not a finite number")
+        if isinstance(literal, int) and not INT64_MIN <= literal <= INT64_MAX:
+            raise int64_error(literal)
         is_number = isinstance(literal, (int, float)) and not isinstance(literal, bool)
         if op in NUMERIC_OPS:
             if not is_numeric or not is_number:

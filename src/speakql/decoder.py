@@ -11,12 +11,20 @@ emission logs by symbol, its moves with their logs, its exit logs, each
 holding only probabilities > 0. Each `GrammarFsa` derives its arcs by
 source state. Decoding reads only these and calls no `math.log`.
 
+The decoding network is built once per model list and grammar, on the
+first decoding, and kept in the grammar: for each grammar state, its
+arcs by the symbols their word's entry can emit, and the symbols any
+word can start with. A call with a list holding other models, compared
+one by one by identity, builds it again, so a list changed in place is
+read as it now is.
+
 `decode_sentence` walks observation positions in order. From each
 position that some grammar state has reached, it runs one Viterbi pass
-per word on the arcs leaving those states, shared by every such arc, and
-ends the pass at the frame where no state of the word survives. A word
-none of whose entry states can emit the position's symbol starts no
-pass there, since that pass could end nowhere.
+per word on the arcs leaving those states whose word's entry can emit
+the position's symbol, shared by every such arc, and ends the pass at
+the frame where no state of the word survives. A word none of whose
+entry states can emit the symbol starts no pass there, since that pass
+could end nowhere.
 
 Dead-cell rule: a word end at a position before the last, whose symbol
 no word's entry can emit, gets no cell at that position (the word-end
@@ -49,7 +57,8 @@ an extension are not tied: the cell kept only the higher.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Mapping
+import operator
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .config import load_yaml, section
@@ -64,6 +73,8 @@ _GRAMMAR_KEYS = {"states", "start", "accepting", "arcs"}
 _ARC_KEYS = {"from", "word", "to"}
 
 NEG_INF = float("-inf")
+# the network entry of a grammar state with no arcs
+_NO_ARCS = ({}, ())
 
 
 @dataclass(frozen=True)
@@ -89,15 +100,20 @@ class WordHmm:
 
     def __post_init__(self):
         n, word = len(self.states), f"word {self.word!r}"
-        indices = [(idx, "entry") for idx, _ in self.entry] + [(idx, "exit") for idx in self.exit]
-        for src, row in self.transitions.items():
-            indices += [(src, "transitions"), *[(dst, f"transitions from {src}") for dst, _ in row]]
-        for idx, part in indices:  # ints below n, as `_indexed` reads a document's keys
-            if type(idx) is not int or not 0 <= idx < n:
-                raise ModelConfigError(f"{word} {part}: bad state index {idx!r}")
         for i, st in enumerate(self.states):
+            if not isinstance(st, PhonemeState):
+                raise ModelConfigError(f"{word} state {i} must be a PhonemeState, got {st!r}")
             if not isinstance(st.emissions, Mapping):
                 raise ModelConfigError(f"{word} state {i} emissions must be a mapping")
+            _probs(st.emissions.items(), f"{word} state {i} emissions", False)
+        for part in ("transitions", "exit"):
+            if not isinstance(getattr(self, part), Mapping):
+                raise ModelConfigError(f"{word} {part} must be a mapping")
+        _state_pairs(self.entry, n, f"{word} entry")
+        _state_pairs(self.exit.items(), n, f"{word} exit")
+        for src, row in self.transitions.items():
+            _state_index(src, n, f"{word} transitions")
+            _state_pairs(row, n, f"{word} transitions from {src}")
         log = math.log
         emits = [{s: log(e) for s, e in st.emissions.items() if e > 0.0} for st in self.states]
         for idx, p in self.entry:
@@ -121,11 +137,16 @@ class GrammarFsa:
     arcs: tuple  # (from state, word, to state)
     # from state -> list of (word, to state), derived from `arcs`
     arcs_from: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # [(model tuple, startable symbols, network)]: the one network `_network`
+    # built last, from that tuple of word models
+    network: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arc in self.arcs:
             if not isinstance(arc, tuple) or len(arc) != 3:
                 raise ModelConfigError(f"grammar arc {arc!r} is not a (from, word, to) triple")
+            if not all(isinstance(v, Hashable) for v in arc):
+                raise ModelConfigError(f"arc fields must be names: {arc!r}")
             src, word, dst = arc
             self.arcs_from.setdefault(src, []).append((word, dst))
 
@@ -245,6 +266,24 @@ def _load_word(raw, alphabet):
     return WordHmm(name, tuple(states), transitions, tuple(entry), exit_probs)
 
 
+def _state_index(idx, n, where):
+    """Check a hand-built state index: an int below `n`, as `_indexed` reads
+    a document's keys."""
+    if type(idx) is not int or not 0 <= idx < n:
+        raise ModelConfigError(f"{where}: bad state index {idx!r}")
+
+
+def _state_pairs(pairs, n, where):
+    """Check hand-built (state index, probability) `pairs`: each a pair of
+    a state index below `n` and a probability that `_probs` accepts."""
+    if not isinstance(pairs, Iterable) or not all(
+            isinstance(pair, tuple) and len(pair) == 2 for pair in pairs):
+        raise ModelConfigError(f"{where} must hold (state index, probability) pairs, got {pairs!r}")
+    for idx, _ in pairs:
+        _state_index(idx, n, where)
+    _probs(pairs, where, False)
+
+
 def _indexed(value, where):
     """The (state index, value) pairs of the mapping `value`, whose keys must
     be ints, or text that `int` reads; `WordHmm` checks their range. It checks
@@ -314,6 +353,34 @@ def viterbi_word(observations, hmm):
     return ends[-1][1:]
 
 
+def _network(hmms, fsa):
+    """The symbols some word's entry can emit, and the decoding network:
+    grammar state -> ({symbol: [(word, to state, model)]}, [the first word
+    on its arcs that has no model], or [] if none). A symbol lists the
+    state's arcs, in order, whose word's entry can emit it. The network is
+    kept in `fsa.network` and built again only when `hmms` holds other
+    models than it was built from, compared by identity, so a list changed
+    in place gets a new one. A repeated word name raises `ModelConfigError`
+    and keeps nothing."""
+    if not isinstance(hmms, (list, tuple)):  # any iterable of models, read once
+        hmms = tuple(hmms)
+    if (kept := fsa.network) and len(kept[0][0]) == len(hmms) and all(
+            map(operator.is_, kept[0][0], hmms)):
+        return kept[0][1:]
+    by_name = _by_name(hmms)
+    network = {}
+    for state, arcs in fsa.arcs_from.items():
+        by_symbol = {}
+        for word, dst in arcs:
+            if (hmm := by_name.get(word)) is not None:
+                for symbol in hmm.log_entry:
+                    by_symbol.setdefault(symbol, []).append((word, dst, hmm))
+        network[state] = by_symbol, [word for word, _ in arcs if word not in by_name][:1]
+    startable = {symbol for h in by_name.values() for symbol in h.log_entry}
+    fsa.network[:] = [(tuple(hmms), startable, network)]
+    return startable, network
+
+
 def decode_sentence(observations, hmms, fsa):
     """Joint best segmentation + grammar path + per-word state paths.
 
@@ -321,20 +388,22 @@ def decode_sentence(observations, hmms, fsa):
     word count); the grammar is unweighted so only acoustic likelihoods
     rank decodings. Each word is scored by one `_word_ends` pass per
     start position, shared by every arc that uses it, over the log tables
-    the models built when they were made; a word whose entry cannot emit
-    the position's symbol gets no pass there, and a position before the
+    the models built when they were made. A cell is expanded only through
+    the arcs of its grammar state whose word's entry can emit the
+    position's symbol, read from the decoding network, which is built
+    once per model list and grammar (`_network`); a position before the
     last whose symbol no word's entry can emit gets no cells (the
     dead-cell rule above). Each cell keeps its best prefix by the tie
-    contract above, and so does the accept step over the accepting cells
-    after the last frame. A repeated word name raises `ModelConfigError`,
-    and so does an arc whose word has no model, when its pass is first needed.
+    contract above, which does not depend on the order of the offers, and
+    so does the accept step over the accepting cells after the last frame.
+    A repeated word name raises `ModelConfigError` on every call, and so
+    does an arc whose word has no model, when a cell of its source state
+    is expanded.
     """
     if not observations:
         raise ValueError("observations must be nonempty")
-    by_name = _by_name(hmms)
-    arcs_from = fsa.arcs_from
+    startable, network = _network(hmms, fsa)
     n = len(observations)
-    startable = {symbol for h in by_name.values() for symbol in h.log_entry}
 
     # cells[pos][(grammar state, word count)] = (score, (words, state path)),
     # None at a position before n whose symbol no word can start with
@@ -346,13 +415,13 @@ def decode_sentence(observations, hmms, fsa):
         symbol = observations[i]
         passes = {}
         for (state, k), (score, (words, spath)) in cells[i].items():
-            for word, dst in arcs_from.get(state, ()):
+            by_symbol, missing = network.get(state, _NO_ARCS)
+            if missing:
+                raise ModelConfigError(f"arc references unknown word {missing[0]!r}")
+            for word, dst, hmm in by_symbol.get(symbol, ()):
                 ends = passes.get(word)
                 if ends is None:
-                    if (hmm := by_name.get(word)) is None:
-                        raise ModelConfigError(f"arc references unknown word {word!r}")
-                    ends = passes[word] = (
-                        _word_ends(observations, i, hmm) if symbol in hmm.log_entry else ())
+                    ends = passes[word] = _word_ends(observations, i, hmm)
                 for end, wscore, path in ends:
                     if (cell_map := cells[end]) is None:
                         continue

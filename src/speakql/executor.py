@@ -42,7 +42,7 @@ from pathlib import Path
 
 from .builder import COMPARATORS
 from .errors import DatasetError, ResolveError
-from .parser import Connective, fold_predicate
+from .parser import INT64_MAX, INT64_MIN, Connective, fold_predicate, int64_error
 
 _COMPARE = {
     "=": operator.eq,
@@ -141,6 +141,8 @@ def _conjuncts(pred, see):
             raise ResolveError(f"unknown comparator {c.op!r}")
         if isinstance(literal, float) and not math.isfinite(literal):
             raise ResolveError(f"literal {literal!r} is not a finite number")
+        if isinstance(literal, int) and not INT64_MIN <= literal <= INT64_MAX:
+            raise int64_error(literal)
         if isinstance(literal, bool) or not isinstance(literal, (int, float, str)):
             raise ResolveError(f"literal {literal!r} is neither a number nor a string")
         return [(c, {c.table})]

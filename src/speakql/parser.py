@@ -33,6 +33,9 @@ from .lexer import (
 _END = Token(None, "", "", -1)
 # a Connective's ops: a tuple, so an unhashable op is unknown rather than a TypeError
 CONNECTIVES = ("and", "or")
+# the integers sqlite stores as INTEGER; it reads an integer literal beyond
+# them as a REAL, which the executor would not compare as sqlite does
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 class Comparison(NamedTuple):
@@ -134,30 +137,41 @@ def parse(tokens):
 def _parse_number(text, position):
     """Exact int for an integer or integral decimal; float otherwise.
 
-    An integer longer than `int` converts (4300 digits by default), a
-    decimal beyond float range, and one with a non-zero fraction that
-    rounds to 0.0 are rejected at their token position."""
+    An integer outside the 64-bit range (see `INT64_MIN`), a decimal
+    beyond float range, and one with a non-zero fraction that rounds to
+    0.0 are rejected at their token position."""
     whole, _, fraction = text.partition(".")
     try:
         if not fraction.strip("0"):
-            return int(whole)
-        value = float(text)
-    except ValueError:
-        value = math.inf
-    if math.isinf(value) or value == 0:
-        raise QueryParseError(
-            position, "a number of representable size", f"a {len(text)}-character number"
-        )
-    return value
+            value = int(whole)
+            if INT64_MIN <= value <= INT64_MAX:
+                return value
+        elif (value := float(text)) != 0 and not math.isinf(value):
+            return value
+    except ValueError:  # more digits than `int` converts (4300 by default)
+        pass
+    raise QueryParseError(
+        position, "a number of representable size", f"a {len(text)}-character number"
+    )
+
+
+def int64_error(literal):
+    """The ResolveError of an int literal outside [INT64_MIN, INT64_MAX],
+    named by its side: the text of a huge int may be more than `str` writes."""
+    side = "below -2**63" if literal < 0 else "at or above 2**63"
+    return ResolveError(f"integer literal {side} does not fit in 64 bits")
 
 
 def format_literal(literal):
     """Canonical rendering, shared by the IR text and the SQL: numbers without
     leading zeros or trailing fractional zeros, strings single-quoted with each inner
-    quote doubled; any other literal, a bool or non-finite float too, raises ResolveError."""
+    quote doubled; any other literal, a bool, a non-finite float or an int
+    beyond 64 bits too, raises ResolveError."""
     if isinstance(literal, str):
         return "'" + literal.replace("'", "''") + "'"
     if isinstance(literal, int) and not isinstance(literal, bool):
+        if not INT64_MIN <= literal <= INT64_MAX:
+            raise int64_error(literal)
         return str(literal)
     if not isinstance(literal, float):
         raise ResolveError(f"literal {literal!r} is neither a number nor a string")

@@ -15,6 +15,9 @@ selected table it reaches. Each level's tables are reached in the
 lexicographic order of their paths from the new table, so its parent
 links give the shortest attaching path and, among those, the
 lexicographically smallest one: every tie-break is deterministic.
+A graph keeps the plan of each required table set it has planned, up
+to `PLANS_KEPT` sets, and hands it back when the set is required again;
+a `JoinPlan` is immutable, so queries can share it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ VALUE_KINDS = ("text", "integer", "real")
 TABLE_KINDS = ("entity", "relationship")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# the join plans a graph keeps, bounded as `builder`'s name caches are
+PLANS_KEPT = 1024
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,8 @@ class SchemaGraph:
 
     nodes: tuple[str, ...]  # declaration order
     edges: dict[frozenset, frozenset] = field(hash=False)
+    # frozenset of required tables -> its JoinPlan, oldest first, filled by `join_path`
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def shared_columns(self, a, b):
         return self.edges.get(frozenset((a, b)), frozenset())
@@ -202,8 +209,15 @@ def join_path(graph, required):
     found by one breadth-first search from that table. Tables are
     listed in the order they were selected, and each path edge adds one
     equality per shared column, sorted by name.
+
+    The graph keeps the plan of each required set it has planned, at most
+    `PLANS_KEPT` of them, the oldest dropped first, and hands the same
+    plan back when the set is required again. A set it cannot plan raises
+    on every call.
     """
-    required = set(required)
+    required = frozenset(required)
+    if (plan := graph.plans.get(required)) is not None:
+        return plan
     unknown = required.difference(graph.adjacency)
     if unknown:
         raise ValueError(f"required table {min(unknown)!r} is not in the schema graph")
@@ -225,4 +239,7 @@ def join_path(graph, required):
             for col in sorted(graph.shared_columns(left, right)):
                 conditions.append((left, col, right, col))
 
-    return JoinPlan(tuple(selected), tuple(conditions))
+    plan = graph.plans[required] = JoinPlan(tuple(selected), tuple(conditions))
+    if len(graph.plans) > PLANS_KEPT:
+        del graph.plans[next(iter(graph.plans))]
+    return plan

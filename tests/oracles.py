@@ -164,13 +164,15 @@ def reference_parse(tokens):
 
 def _reference_number(text, position):
     """The exact value, as an int when it is whole; rejected when int()
-    cannot convert it, a float cannot hold it, or it rounds to 0.0."""
+    cannot convert it, it is whole and outside [-2**63, 2**63), a float
+    cannot hold it, or it rounds to 0.0."""
     try:
         exact = Fraction(text)
         value = int(exact) if exact.denominator == 1 else float(exact)
     except (ValueError, OverflowError):
         value = None
-    if value is None or (value == 0) != (exact == 0):
+    if value is None or (value == 0) != (exact == 0) or (
+            exact.denominator == 1 and not -(2**63) <= value < 2**63):
         raise QueryParseError(
             position, "a number of representable size", f"a {len(text)}-character number"
         )

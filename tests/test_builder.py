@@ -125,8 +125,9 @@ def test_generate_sql_or_predicate_parenthesized(bank_schema, bank_graph, bank_l
 @pytest.mark.parametrize(
     "literal, rendered",
     [
-        ("12345678901234567890", "12345678901234567890"),
-        ("12345678901234567890.00", "12345678901234567890"),
+        ("9223372036854775807", "9223372036854775807"),
+        ("9223372036854775807.00", "9223372036854775807"),
+        ("-9223372036854775808", "-9223372036854775808"),
         ("2.50", "2.5"),
     ],
 )
@@ -156,6 +157,19 @@ def test_resolve_rejects_non_finite_float_literal(bank_schema, bank_graph, liter
         ir = QueryIR(("customer_name",), None, comparison)
         with pytest.raises(ResolveError, match=re.escape(repr(literal))):
             resolve(ir, bank_schema, bank_graph)
+
+
+@pytest.mark.parametrize("literal, side", [
+    (2**63, "at or above 2**63"), (-(2**63) - 1, "below -2**63"), (10**5000, "at or above 2**63"),
+], ids=["2**63", "below-minus-2**63", "5001-digits"])
+def test_integer_literal_beyond_64_bits_is_rejected(bank_schema, bank_graph, literal, side):
+    """An int that sqlite would read as a REAL gets one ResolveError from
+    `resolve` and `ir_to_text`, which names its side, not its digits."""
+    ir = QueryIR(("customer_name",), None, Comparison("balance", "=", literal))
+    for stage in (lambda: resolve(ir, bank_schema, bank_graph), lambda: ir_to_text(ir)):
+        with pytest.raises(ResolveError) as exc:
+            stage()
+        assert str(exc.value) == f"integer literal {side} does not fit in 64 bits"
 
 
 def conjunction(*comparisons):
@@ -385,6 +399,8 @@ HAND_BUILT_FAULTS = [
     (BoundComparison("t", "v", "<>", None), "literal None is neither a number nor a string"),
     (BoundComparison("t", "v", ">", True), "literal True is neither a number nor a string"),
     (BoundComparison("t", "v", "=", b"x"), "literal b'x' is neither a number nor a string"),
+    (BoundComparison("t", "v", "=", 2**63), "integer literal at or above 2**63 does not fit in 64 bits"),
+    (BoundComparison("t", "v", "<", -(2**63) - 1), "integer literal below -2**63 does not fit in 64 bits"),
 ]
 
 

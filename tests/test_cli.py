@@ -135,8 +135,8 @@ def test_translation_error_parse(capsys):
 
 @pytest.mark.parametrize(
     "number",
-    ["9" * 400 + ".5", "9" * 4301, "0." + "0" * 400 + "1"],
-    ids=["beyond-float-range", "too-many-digits", "underflows-to-zero"],
+    ["9" * 400 + ".5", "9" * 4301, "0." + "0" * 400 + "1", "18446744073709551616"],
+    ids=["beyond-float-range", "too-many-digits", "underflows-to-zero", "beyond-64-bits"],
 )
 def test_translation_error_unrepresentable_number(capsys, number):
     code, out, err = run(

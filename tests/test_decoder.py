@@ -17,6 +17,7 @@ from speakql.decoder import (
 from speakql.errors import DecodeError, ModelConfigError
 
 import oracles
+from conftest import FIXTURES
 
 
 def hmm_by_name(bank_models, name):
@@ -104,6 +105,86 @@ def test_arc_word_missing_from_a_model_list():
     with pytest.raises(ModelConfigError) as exc:
         decode_sentence(["a"], [w], fsa)
     assert str(exc.value) == "arc references unknown word 'v'"
+
+
+def _one_symbol_word(word, symbol):
+    return WordHmm(word, (PhonemeState(word, {symbol: 1.0}),), {}, ((0, 1.0),), {0: 1.0})
+
+
+def test_network_follows_a_model_list_changed_in_place():
+    """The network kept for a list is not read for the same list after a
+    model in it is replaced or a word is appended: each decodes as a new
+    list holding the same models does."""
+    fsa = GrammarFsa(frozenset("qf"), "q", frozenset("f"), (("q", "w", "f"), ("q", "v", "f")))
+    hmms = [_one_symbol_word("w", "a")]
+    with pytest.raises(ModelConfigError, match="unknown word 'v'"):
+        decode_sentence(["a"], hmms, fsa)
+
+    def as_new_list(obs):
+        fresh = GrammarFsa(fsa.states, fsa.start, fsa.accepting, fsa.arcs)
+        got = decode_sentence(obs, hmms, fsa)
+        assert got == decode_sentence(obs, list(hmms), fresh)
+        return got.words
+
+    hmms.append(_one_symbol_word("v", "c"))
+    assert (as_new_list(["a"]), as_new_list(["c"])) == (("w",), ("v",))
+    hmms[0] = _one_symbol_word("w", "b")
+    assert (as_new_list(["b"]), as_new_list(["c"])) == (("w",), ("v",))
+    with pytest.raises(DecodeError):
+        decode_sentence(["a"], hmms, fsa)
+
+
+def test_duplicate_word_name_raises_on_every_call():
+    """A list with a repeated name keeps no network, so a second call
+    raises as the first did, also after the grammar decoded another list."""
+    first, second = _one_symbol_word("w", "a"), _one_symbol_word("w", "b")
+    fsa = GrammarFsa(frozenset("q"), "q", frozenset("q"), (("q", "w", "q"),))
+    decode_sentence(["a"], [first], fsa)
+    for _ in range(2):
+        with pytest.raises(ModelConfigError, match="duplicate word name 'w'"):
+            decode_sentence(["a"], [first, second], fsa)
+    assert decode_sentence(["a"], [first], fsa).words == ("w",)
+
+
+def test_unknown_word_arc_raises_only_where_its_state_is_expanded():
+    """An arc whose word has no model raises when a cell of its source
+    state is expanded; one from a state no decoding reaches never does."""
+    w = _one_symbol_word("w", "a")
+    unreached = GrammarFsa(frozenset("qfu"), "q", frozenset("f"),
+                           (("q", "w", "f"), ("u", "v", "f")))
+    for _ in range(2):
+        assert decode_sentence(["a"], [w], unreached).words == ("w",)
+    # f is reached only after the last frame, so none of its cells is expanded
+    after_last = GrammarFsa(frozenset("qf"), "q", frozenset("f"),
+                            (("q", "w", "f"), ("f", "v", "f")))
+    assert decode_sentence(["a"], [w], after_last).words == ("w",)
+    with pytest.raises(ModelConfigError, match="unknown word 'v'"):
+        decode_sentence(["a", "a"], [w], after_last)
+    # no word starts with z, so frame 1 keeps no cell to expand (the dead-cell rule)
+    with pytest.raises(DecodeError):
+        decode_sentence(["a", "z"], [w], after_last)
+
+
+def test_network_is_built_once_per_model_list_and_grammar(monkeypatch, bank_models):
+    """Decoding the bank fixture's streams twice with one (models, grammar)
+    builds its network once; models loaded again build their own."""
+    streams = [line.split() for line in
+               (FIXTURES / "phonemes.txt").read_text(encoding="utf-8").splitlines()]
+    streams += [s.split() for s in ("g eh t b r ae n ey m", "l ih s t k uh s n ey m",
+                                    "l iy s t b r ae n ey m")]
+    text = (FIXTURES / "models.yaml").read_text(encoding="utf-8")
+    hmms, fsa = load_models(text)
+    builds = []
+    by_name = decoder._by_name
+    monkeypatch.setattr(decoder, "_by_name", lambda hmms: builds.append(1) or by_name(hmms))
+    want = [decode_sentence(obs, *bank_models) for obs in streams]
+    builds.clear()  # the shared bank_models fixture may already have its network
+    assert [decode_sentence(obs, hmms, fsa) for obs in streams * 2] == want * 2
+    assert len(builds) == 1 and len(fsa.network) == 1
+    # the same models from an iterator are the same list to the network
+    assert decode_sentence(streams[0], iter(hmms), fsa) == want[0] and len(builds) == 1
+    assert [decode_sentence(obs, *load_models(text)) for obs in streams[:1]] == want[:1]
+    assert len(builds) == 3  # the loader's own check, then the new grammar's network
 
 
 def test_transition_mass_violation():
@@ -543,12 +624,38 @@ ONE_STATE = (PhonemeState("a", {"x": 1.0}),)
      "grammar arc ('q', 'w') is not a (from, word, to) triple"),
     (lambda: GrammarFsa(frozenset({"q"}), "q", frozenset({"q"}), ("qwq",)),
      "grammar arc 'qwq' is not a (from, word, to) triple"),
+    (lambda: WordHmm("w", ("a",), {}, ((0, 1.0),), {0: 1.0}),
+     "word 'w' state 0 must be a PhonemeState, got 'a'"),
+    (lambda: WordHmm("w", ONE_STATE, {0: (0,)}, ((0, 1.0),), {0: 1.0}),
+     "word 'w' transitions from 0 must hold (state index, probability) pairs, got (0,)"),
+    (lambda: WordHmm("w", ONE_STATE, {}, (0,), {0: 1.0}),
+     "word 'w' entry must hold (state index, probability) pairs, got (0,)"),
+    (lambda: WordHmm("w", ONE_STATE, [], ((0, 1.0),), {0: 1.0}),
+     "word 'w' transitions must be a mapping"),
+    (lambda: WordHmm("w", ONE_STATE, {}, ((0, 1.0),), ((0, 1.0),)),
+     "word 'w' exit must be a mapping"),
+    (lambda: WordHmm("w", (PhonemeState("a", {"x": "p"}),), {}, ((0, 1.0),), {0: 1.0}),
+     "word 'w' state 0 emissions: probability 'p' of 'x' out of range"),
+    (lambda: WordHmm("w", ONE_STATE, {}, ((0, 1.5),), {0: 1.0}),
+     "word 'w' entry: probability 1.5 of 0 out of range"),
+    (lambda: WordHmm("w", ONE_STATE, {0: ((0, True),)}, ((0, 1.0),), {0: 0.5}),
+     "word 'w' transitions from 0: probability True of 0 out of range"),
+    (lambda: WordHmm("w", ONE_STATE, {}, ((0, 1.0),), {0: float("nan")}),
+     "word 'w' exit: probability nan of 0 out of range"),
+    (lambda: GrammarFsa(frozenset({"q"}), "q", frozenset({"q"}), ((["q"], "w", "q"),)),
+     "arc fields must be names: (['q'], 'w', 'q')"),
 ], ids=["entry", "entry-negative", "entry-bool", "exit-text", "transition-source",
-        "transition-target", "emissions", "arc-pair", "arc-text"])
+        "transition-target", "emissions", "arc-pair", "arc-text", "state-type",
+        "transition-pair", "entry-pair", "transitions-type", "exit-type",
+        "emission-probability", "entry-probability", "transition-probability",
+        "exit-probability", "arc-unhashable"])
 def test_hand_built_models_name_their_structural_faults(build, error):
-    """A hand-built model whose state indices fall outside its states, whose
-    emissions are not a mapping, or whose arc is not a triple raises a
-    ModelConfigError when built, not an error inside decoding."""
+    """A hand-built model whose states are not `PhonemeState`s, whose state
+    indices fall outside its states, whose emissions, transitions or exits
+    are not mappings, whose entry or transition rows are not pairs, or whose
+    probability `load_models` would reject, and a grammar whose arc is not a
+    triple of names, raise a ModelConfigError when built, with the loader's
+    wording where it has one, not an error inside decoding."""
     with pytest.raises(ModelConfigError) as exc:
         build()
     assert str(exc.value) == error

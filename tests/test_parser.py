@@ -43,8 +43,12 @@ def test_missing_verb(bank_lexicon):
         "9" * 400 + ".5",  # beyond float range
         "9" * 4301,  # more digits than int() converts
         "0." + "0" * 400 + "1",  # a non-zero fraction that rounds to 0.0
+        "9223372036854775808",  # 2**63, which sqlite reads as a REAL
+        "9223372036854775808.00",
+        "-9223372036854775809",
     ],
-    ids=["beyond-float-range", "too-many-digits", "underflows-to-zero"],
+    ids=["beyond-float-range", "too-many-digits", "underflows-to-zero", "2**63",
+         "2**63-decimal", "below-minus-2**63"],
 )
 def test_unrepresentable_number_literal(bank_lexicon, number):
     with pytest.raises(QueryParseError) as exc:
@@ -53,7 +57,10 @@ def test_unrepresentable_number_literal(bank_lexicon, number):
 
 
 @pytest.mark.parametrize(
-    "number, value", [("0.000", 0), ("0." + "0" * 300 + "1", 1e-301)], ids=["zero", "tiny"]
+    "number, value",
+    [("0.000", 0), ("0." + "0" * 300 + "1", 1e-301), ("9223372036854775807", 2**63 - 1),
+     ("-9223372036854775808", -(2**63)), ("9223372036854775808.5", 9223372036854775808.5)],
+    ids=["zero", "tiny", "2**63-1", "minus-2**63", "decimal-beyond-2**63"],
 )
 def test_small_number_literal_kept(bank_lexicon, number, value):
     ir = parse_text(f"get customer_name whose balance equals {number}", bank_lexicon)

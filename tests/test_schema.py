@@ -1,13 +1,16 @@
+import itertools
 import random
 import time
 
 import pytest
 
+from speakql import schema
 from speakql.builder import resolve
 from speakql.errors import DisconnectedSchemaError, ResolveError, SchemaConfigError
 from speakql.lexer import generate_lexicon, tokenize
 from speakql.parser import parse
 from speakql.schema import (
+    PLANS_KEPT,
     TABLE_KINDS,
     VALUE_KINDS,
     Column,
@@ -323,6 +326,68 @@ def test_join_path_disconnected():
         join_path(graph, {"A", "B"})
     assert exc.value.table_a == "A"
     assert exc.value.table_b == "B"
+
+
+def test_join_path_fault_raises_on_every_call():
+    """A graph keeps only the plans it made: a set it cannot plan raises
+    again on the next call, and a set it planned is not hidden by it."""
+    graph = SchemaGraph(("A", "B", "C"), {frozenset("AC"): frozenset({"k"})})
+    assert join_path(graph, {"A", "C"}).tables == ("A", "C")
+    for _ in range(2):
+        with pytest.raises(DisconnectedSchemaError):
+            join_path(graph, {"A", "B"})
+        with pytest.raises(ValueError, match="'Z'"):
+            join_path(graph, {"A", "Z"})
+    assert list(graph.plans) == [frozenset("AC")]
+
+
+def count_attach(monkeypatch):
+    """The tables `_attach` is called for, recorded in a list."""
+    calls, attach = [], schema._attach
+    monkeypatch.setattr(schema, "_attach", lambda adjacency, selected, table: (
+        calls.append(table) or attach(adjacency, selected, table)))
+    return calls
+
+
+def test_join_path_plans_each_table_set_once_per_graph(monkeypatch, bank_schema):
+    """One graph searches only the first time a table set is required, and
+    hands the same plan back after; a second graph builds its own plans."""
+    calls = count_attach(monkeypatch)
+    names = [t.name for t in bank_schema.tables]
+    rng = random.Random(35)
+    sets = [frozenset(rng.sample(names, rng.randint(1, 4))) for _ in range(300)]
+    searches = {}  # each set's searches, planned on a graph of its own
+    for required in sets:
+        calls.clear()
+        searches[required] = (join_path(build_graph(bank_schema), required), len(calls))
+    graph, seen = build_graph(bank_schema), {}
+    for required in sets:
+        calls.clear()
+        plan = join_path(graph, set(required))
+        assert plan == searches[required][0]
+        assert len(calls) == (0 if required in seen else searches[required][1])
+        assert seen.setdefault(required, plan) is plan
+    assert len(seen) < len(sets) and sum(n for _, n in searches.values()) > 0
+    calls.clear()
+    join_path(build_graph(bank_schema), sets[-1])
+    assert len(calls) == searches[sets[-1]][1] > 0
+
+
+def test_join_path_keeps_at_most_plans_kept(monkeypatch):
+    """Past its bound a graph drops its oldest plan first, and plans that
+    set again when it is required."""
+    names = [f"t{i:02d}" for i in range(12)]
+    graph = _line_graph(names)
+    sets = [frozenset(c) for k in (2, 3, 4, 5) for c in itertools.combinations(names, k)]
+    assert len(sets) > PLANS_KEPT
+    for required in sets:
+        join_path(graph, required)
+        assert len(graph.plans) <= PLANS_KEPT
+    assert list(graph.plans) == sets[-PLANS_KEPT:]
+    calls = count_attach(monkeypatch)
+    assert join_path(graph, sets[0]) == join_path(_line_graph(names), sets[0])
+    assert len(calls) == 2 and len(graph.plans) == PLANS_KEPT
+    assert sets[-PLANS_KEPT] not in graph.plans and list(graph.plans)[-1] == sets[0]
 
 
 def test_join_path_names_unknown_table(bank_graph):
