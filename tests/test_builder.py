@@ -399,8 +399,10 @@ HAND_BUILT_FAULTS = [
     (BoundComparison("t", "v", "<>", None), "literal None is neither a number nor a string"),
     (BoundComparison("t", "v", ">", True), "literal True is neither a number nor a string"),
     (BoundComparison("t", "v", "=", b"x"), "literal b'x' is neither a number nor a string"),
-    (BoundComparison("t", "v", "=", 2**63), "integer literal at or above 2**63 does not fit in 64 bits"),
-    (BoundComparison("t", "v", "<", -(2**63) - 1), "integer literal below -2**63 does not fit in 64 bits"),
+    (BoundComparison("t", "v", "=", 2**63),
+     "integer literal at or above 2**63 does not fit in 64 bits"),
+    (BoundComparison("t", "v", "<", -(2**63) - 1),
+     "integer literal below -2**63 does not fit in 64 bits"),
 ]
 
 
